@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race net-test obs-test chaos-test async-test load-test bench microbench fuzz repro examples clean
+.PHONY: all build vet lint lint-baseline test race stress net-test obs-test chaos-test async-test load-test bench microbench fuzz repro examples clean
 
 all: build lint test
 
@@ -38,6 +38,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake gate: the node runtime, the fault injector and the tsnode e2e runs
+# (kill -9 soaks included) five times over under the race detector. A test
+# that fails once in five here is a bug, not noise.
+stress:
+	$(GO) test -race -count=5 ./cmd/tsnode ./internal/fault ./internal/node
 
 # Networking subsystem gate: the node runtime under the race detector plus
 # the tsnode integration test (real OS processes over localhost TCP).

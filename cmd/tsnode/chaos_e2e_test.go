@@ -342,6 +342,14 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 			}
 			// Delays stretch the run so the SIGKILL lands mid-computation;
 			// node 2 additionally crashes itself every 10 egress frames.
+			// That threshold sits below every schedule's minimum: each of
+			// process 2's 12 rendezvous needs at least one SYN/ACK from
+			// node 2 to reach the transport (node 1 cannot merge a SYN it
+			// never got, nor commit a send it was never ACKed for, journal
+			// or not), and the injector counts every such frame, written,
+			// dropped or failed. So no incarnation of node 2 that starts
+			// with 10 or more frames of work left can finish without
+			// crashing, and the first one starts with 12.
 			planPath := filepath.Join(dir, "plan.json")
 			plan := fmt.Sprintf(`{"seed": %d,
 				"links": [{"from": -1, "to": -1, "delayMs": 15, "delayProb": 1}],

@@ -399,15 +399,17 @@ func (c *faultConn) writeFrame(frame []byte) error {
 
 	t := c.t
 	lk := t.link(peer)
+	// The crash fires on the scheduled frame whatever becomes of its write:
+	// the frame was sent as far as this node can tell. Skipping the crash on
+	// a failed write (the peer's stream died under it) would consume the
+	// schedule without ever firing it.
 	crash := t.noteSent()
 	if lk.rule == nil {
-		if _, err := c.Conn.Write(frame); err != nil {
-			return err
-		}
+		_, err := c.Conn.Write(frame)
 		if crash && t.CrashFn != nil {
 			t.CrashFn()
 		}
-		return nil
+		return err
 	}
 
 	lk.mu.Lock()
@@ -459,17 +461,14 @@ func (c *faultConn) writeFrame(frame []byte) error {
 		}
 	}
 	lk.mu.Unlock()
-	if werr != nil {
-		return werr
-	}
-	if f.reset {
+	if werr == nil && f.reset {
 		t.resets.Add(1)
 		_ = c.Conn.Close()
 	}
 	if crash && t.CrashFn != nil {
 		t.CrashFn()
 	}
-	return nil
+	return werr
 }
 
 // flushHeld emits a reorder-held frame that was never overtaken (the link

@@ -114,7 +114,9 @@ func (j *JitterSpec) Validate() error {
 
 // Crash schedules a node kill: after the node has sent AfterFrames vector
 // frames (across all its links), the transport invokes CrashFn — tsnode
-// wires os.Exit, tests wire a panic or a Stop.
+// wires os.Exit, tests wire a panic or a Stop. Every SYN/ACK handed to the
+// transport counts, whether the plan drops it or its write fails, so a node
+// that sends at least AfterFrames vector frames always crashes.
 type Crash struct {
 	Node        int `json:"node"`
 	AfterFrames int `json:"afterFrames"`

@@ -12,10 +12,11 @@ import (
 // the whole package set: phase 1 collects every struct field that is
 // accessed through a sync/atomic function (atomic.AddInt64(&s.n, 1) and
 // friends); phase 2 reports every plain read or write of those same fields
-// anywhere in the module. Mixing the two access modes is the exact bug
-// class the flush-on-idle pending counter and the journal commit leader
-// invite: a plain load next to an atomic add is a data race the happens-
-// before reasoning of the rendezvous protocol silently builds on. Fields of
+// anywhere in the module. Mixing the two access modes is the bug class of
+// any counter published across goroutines without a lock: a plain load
+// next to an atomic add is a data race the happens-before reasoning of the
+// rendezvous protocol silently builds on, and the race detector sees it
+// only when a test happens to schedule the two accesses together. Fields of
 // the typed atomic.Int64-style types are safe by construction (their only
 // operations are methods) and need no check; vet's copylocks already flags
 // copying them.

@@ -8,13 +8,16 @@ import (
 
 // SpinBound rejects unbounded busy-wait loops: every for loop whose body
 // calls runtime.Gosched must have a compile-time-visible iteration bound —
-// the flushYields/commitYields pattern (for i := 0; i < constBound; i++).
-// The flush-on-idle writer and the group-commit leader both manufacture
-// scheduling points by yielding; an unbounded spin in their place livelocks
-// a GOMAXPROCS=1 run the moment the condition it polls can only be advanced
-// by the goroutine that is spinning. Range loops count as bounded (the
-// ranged collection is finite); what is banned is `for { Gosched() }` and
-// condition-only spins like `for x.Load() > 0 { Gosched() }`.
+// the commitYields pattern (for i := 0; i < constBound; i++). The
+// group-commit journal leader manufactures scheduling points by yielding,
+// and a connection's writer goroutine yields once per wake so the
+// processes readied with it queue their frames first; an unbounded spin in
+// their place livelocks a GOMAXPROCS=1 run the moment the condition it
+// polls can only be advanced by the goroutine that is spinning. Range loops
+// count as bounded (the ranged collection is finite, and a range over a
+// channel blocks on every receive — the writer's shape); what is banned is
+// `for { Gosched() }` and condition-only spins like
+// `for x.Load() > 0 { Gosched() }`.
 var SpinBound = &Analyzer{
 	Name: "spinbound",
 	Doc:  "every runtime.Gosched busy-wait loop carries a compile-time-visible iteration bound",

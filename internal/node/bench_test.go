@@ -25,35 +25,45 @@ func benchMatching(pairs int) (*decomp.Decomposition, []int) {
 	return decomp.Best(g), placement
 }
 
-// runBenchCluster drives one 2-node Loop run and reports errors on b.
-func runBenchCluster(b *testing.B, dec *decomp.Decomposition, placement []int,
-	programs map[int]func(*Process) error, coalesce bool) {
-	b.Helper()
-	ts := loopTransports(2)
-	nodes := make([]*Node, 2)
+// runPair runs one node per transport over the matching topology and fails
+// tb on any node error, returning each node's RunInfo.
+func runPair(tb testing.TB, cfg Config, transports []Transport, programs map[int]func(*Process) error) []*RunInfo {
+	tb.Helper()
+	nodes := make([]*Node, len(transports))
 	for i := range nodes {
-		n, err := New(Config{Node: i, Placement: placement, Dec: dec, NoCoalesce: !coalesce}, ts[i])
+		c := cfg
+		c.Node = i
+		n, err := New(c, transports[i])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		defer n.Close()
 		nodes[i] = n
 	}
-	errs := make([]error, 2)
+	infos := make([]*RunInfo, len(nodes))
+	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i := range nodes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = nodes[i].Run(programs)
+			infos[i], errs[i] = nodes[i].Run(programs)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			b.Fatalf("node %d: %v", i, err)
+			tb.Fatalf("node %d: %v", i, err)
 		}
 	}
+	return infos
+}
+
+// runBenchCluster drives one 2-node Loop run and reports errors on b.
+func runBenchCluster(b *testing.B, dec *decomp.Decomposition, placement []int,
+	programs map[int]func(*Process) error, coalesce bool) {
+	b.Helper()
+	runPair(b, Config{Placement: placement, Dec: dec, NoCoalesce: !coalesce}, loopTransports(2), programs)
 }
 
 // benchPrograms is the tsbench workload shape: every pair ping-pongs rounds
@@ -150,16 +160,18 @@ func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, fal
 func BenchmarkJournalAppendSyncEach(b *testing.B) { benchJournalAppend(b, true, 8) }
 
 // TestNodeHotPathAllocBudget pins the per-message allocation count of the
-// full distributed rendezvous path. The budget is deliberately loose — the
-// path spans goroutine handoffs, journal-free protocol work, and log
-// growth — but tight enough that an accidental per-frame buffer or
-// per-vector scratch slipping into the hot path (tens of allocations per
-// message) fails the test rather than silently regressing throughput.
+// full distributed rendezvous path: goroutine handoffs, journal-free
+// protocol work, log growth, and each run's setup amortized over its
+// messages. It measures 7.5–7.6 per message on a 2-vCPU x86-64 host with
+// Go 1.24, with or without -race, and the budget sits just above that, so
+// a single new allocation per message on the hot path (a per-send channel
+// or timer, a heap-allocated frame) fails the test rather than silently
+// regressing throughput.
 func TestNodeHotPathAllocBudget(t *testing.T) {
 	const (
 		pairs    = 4
 		rounds   = 200
-		budget   = 100.0
+		budget   = 8.0
 		messages = pairs * rounds
 	)
 	dec, placement := benchMatching(pairs)
@@ -167,31 +179,7 @@ func TestNodeHotPathAllocBudget(t *testing.T) {
 
 	// Warm run to populate connection state, then measure.
 	run := func() {
-		ts := loopTransports(2)
-		nodes := make([]*Node, 2)
-		for i := range nodes {
-			n, err := New(Config{Node: i, Placement: placement, Dec: dec}, ts[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer n.Close()
-			nodes[i] = n
-		}
-		errs := make([]error, 2)
-		var wg sync.WaitGroup
-		for i := range nodes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, errs[i] = nodes[i].Run(programs)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-		}
+		runPair(t, Config{Placement: placement, Dec: dec}, loopTransports(2), programs)
 	}
 	run()
 	var before, after runtime.MemStats

@@ -101,7 +101,8 @@ type Config struct {
 	// is flushed to the transport individually, one write per frame, as the
 	// pre-batching runtime did. It is the baseline arm of cmd/tsbench and a
 	// debugging aid; the default (false) lets concurrent senders share
-	// transport writes via the flush-on-idle writer.
+	// transport writes: each connection's writer goroutine encodes whatever
+	// is queued and flushes once the queue is empty.
 	NoCoalesce bool
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and
@@ -112,18 +113,29 @@ type Config struct {
 
 // inbound is one rendezvous request parked in a process's mailbox: the
 // sender's pre-merge vector, awaiting the receiver's merge. A local sender
-// parks on reply; a remote sender parks on the ACK frame the receiver's
-// node sends back.
+// parks on its reply slot; a remote sender parks on the ACK frame the
+// receiver's node sends back.
 type inbound struct {
 	from  int
 	seq   uint64
 	vec   vector.V
-	reply chan vector.V // nil for remote senders
+	reply chan reply // the local sender's reply slot; nil for remote senders
 }
 
-// peerConn is one established data connection to a peer node. The encoder
-// is shared by every local process sending toward that node, serialized by
-// mu; the decoder is owned by the connection's single reader goroutine.
+// reply is one answer on a sender's reply slot: the agreed stamp, tagged
+// with the sequence number of the send it answers. The slot is reused by
+// every Send of the process, so the tag is what tells a live answer from a
+// stale one.
+type reply struct {
+	seq uint64
+	vec vector.V
+}
+
+// peerConn is one established data connection to a peer node. Senders
+// append frames to a mutex-guarded queue and return at once; the
+// connection's writer goroutine owns the encoder and the transport writes
+// (see writeLoop). The decoder is owned by the connection's reader
+// goroutine.
 type peerConn struct {
 	n     *Node
 	node  int
@@ -131,46 +143,190 @@ type peerConn struct {
 	c     net.Conn
 	dec   *wire.Decoder
 
-	// pending counts senders that have committed to encoding a frame but
-	// not yet finished: the one that decrements it to zero flushes the
-	// write buffer. That is the whole flush-on-idle discipline — a burst of
-	// concurrent SYNs/ACKs from independent channel pairs shares one
-	// transport write, while a lone frame still reaches the wire before its
-	// send returns (the final decrement happens under mu, after the last
-	// encode, so no frame is ever stranded unflushed).
-	pending atomic.Int64
+	// mu guards the send queue and the writer's lifecycle. A sender wakes
+	// the writer only when the queue goes from empty to non-empty, under
+	// mu; shut closes wake under the same lock, so a signal never races
+	// the close.
+	mu    sync.Mutex
+	queue []outFrame
+	wake  chan struct{} // capacity 1
+	shut  bool          // no further sends; the writer drains and exits
+	err   error         // first write error; sticky, later sends fail fast
 
-	mu  sync.Mutex
-	enc *wire.Encoder
+	// Owned by the writer goroutine: spare is its drained queue, recycled as
+	// the next one; encMu guards enc against the accounting snapshots; done
+	// is closed when the writer exits.
+	spare []outFrame
+	encMu sync.Mutex
+	enc   *wire.Encoder
+	done  chan struct{}
 }
 
-// flushYields is how many times the would-be flusher yields the scheduler
-// before writing the batch to the transport. Transport writes on a socket
-// never block (the kernel buffers them), so on a single CPU a sender runs
-// its whole send without ever handing the processor to a concurrent sender —
-// pending would stay at 1 and every frame would get its own transport
-// write. Yielding first lets other runnable senders encode into the batch;
-// whoever decrements pending to zero last inherits the flush. With nothing
-// else runnable a yield returns immediately, so a lone send pays
-// nanoseconds.
-const flushYields = 4
+// outFrame is one queued frame, held by value so a send allocates
+// nothing. flushed is non-nil only for a send that waits for the transport
+// write covering its frame (BYE).
+type outFrame struct {
+	f       wire.Frame
+	flushed chan error
+}
 
-// send encodes one frame, serializing concurrent senders, and charges the
-// owning node's live wire-traffic counters (no-ops with obs disabled).
-// With coalescing enabled the encoder runs in batch mode and the last
-// concurrent sender out flushes for everyone; send may return with its
-// frame still in the write buffer only when a later sender has already
-// committed to encoding — that sender (or its successor) flushes it.
+// errConnClosed is a send on a connection whose writer has been shut.
+var errConnClosed = errors.New("node: connection closed")
+
+func newPeerConn(n *Node, node, epoch int, c net.Conn, enc *wire.Encoder, dec *wire.Decoder) *peerConn {
+	// The HELLO flushed itself; from here the stream carries data frames,
+	// which coalesce in the writer unless NoCoalesce asks for one write per
+	// frame.
+	enc.SetBatch(!n.cfg.NoCoalesce)
+	return &peerConn{n: n, node: node, epoch: epoch, c: c, enc: enc, dec: dec,
+		wake: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// send queues a copy of one frame for the writer and returns without
+// waiting for the transport. It fails only when the connection is already
+// known to be dead: a previous write failed, or the connection was shut.
 func (pc *peerConn) send(f *wire.Frame) error {
+	return pc.enqueue(f, nil)
+}
+
+// sendFlushed queues one frame and waits until the writer has handed it to
+// the transport, returning that write's outcome. BYE uses it: the
+// end-of-run bookkeeping (byeFailed) must know whether the announcement
+// left the node.
+func (pc *peerConn) sendFlushed(f *wire.Frame) error {
+	ch := make(chan error, 1)
+	if err := pc.enqueue(f, ch); err != nil {
+		return err
+	}
+	return <-ch
+}
+
+func (pc *peerConn) enqueue(f *wire.Frame, flushed chan error) error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.err != nil {
+		return pc.err
+	}
+	if pc.shut {
+		return errConnClosed
+	}
+	pc.queue = append(pc.queue, outFrame{f: *f, flushed: flushed})
+	if len(pc.queue) == 1 {
+		select {
+		case pc.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+	return nil
+}
+
+// stop shuts the writer: queued frames are still written, later sends
+// fail. Idempotent.
+func (pc *peerConn) stop() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if !pc.shut {
+		pc.shut = true
+		close(pc.wake)
+	}
+}
+
+// close aborts the connection: the writer is shut and the transport
+// stream closed under it, so a write in progress fails promptly.
+func (pc *peerConn) close() {
+	pc.stop()
+	_ = pc.c.Close()
+}
+
+// drain shuts the writer and waits until every queued frame has been
+// written (or has failed) and the writer has exited.
+func (pc *peerConn) drain() {
+	pc.stop()
+	<-pc.done
+}
+
+// writeLoop is the connection's writer goroutine. Each wake means the
+// queue went non-empty; the writer encodes frames until the queue stays
+// empty and then flushes once, so a burst of concurrent SYNs/ACKs from
+// independent channel pairs shares one transport write while a lone frame
+// still goes out without waiting for company. After shut it writes what
+// was queued before the close and exits.
+//
+// The one yield per wake is what makes batches form. The channel send that
+// wakes the writer puts it in the waking P's runnext slot, so it runs
+// before the processes readied alongside it and every write would carry
+// exactly one frame (measured on pairs-tcp: 1.00 frames per write and about
+// half the throughput). Yielding once moves the writer behind them; they
+// queue their frames, and the next drain takes them all. With nothing else
+// runnable the yield returns at once.
+func (pc *peerConn) writeLoop() {
+	defer pc.n.writersWG.Done()
+	defer close(pc.done)
+	for range pc.wake {
+		if !pc.n.cfg.NoCoalesce {
+			runtime.Gosched()
+		}
+		pc.writeQueued()
+	}
+	pc.writeQueued()
+}
+
+// writeQueued encodes every queued frame, re-reading the queue until it is
+// empty, then flushes. A frame with a flush waiter is flushed on its own
+// and the waiter told that write's outcome: the peer may hang up the
+// moment it reads a BYE, and the frames queued behind it must not turn a
+// delivered BYE into a failed one. After a write error the stream is
+// unusable: queued frames are discarded and every waiter gets the error.
+func (pc *peerConn) writeQueued() {
+	pc.mu.Lock()
+	err := pc.err
+	pc.mu.Unlock()
+	for {
+		pc.mu.Lock()
+		batch := pc.queue
+		pc.queue = pc.spare[:0]
+		pc.mu.Unlock()
+		if len(batch) == 0 {
+			pc.spare = batch
+			break
+		}
+		pc.encMu.Lock()
+		for i := range batch {
+			of := &batch[i]
+			if err == nil {
+				err = pc.encode(&of.f)
+			}
+			if of.flushed != nil {
+				if err == nil {
+					err = pc.enc.Flush()
+				}
+				of.flushed <- err // buffered; the waiter is parked on it
+			}
+		}
+		pc.encMu.Unlock()
+		clear(batch) // drop the frames; the slice is reused
+		pc.spare = batch[:0]
+	}
+	if err == nil {
+		pc.encMu.Lock()
+		err = pc.enc.Flush()
+		pc.encMu.Unlock()
+	}
+	if err != nil {
+		pc.writeFailed(err)
+	}
+}
+
+// encode writes one queued frame into the encoder's buffer and charges
+// the node's live wire-traffic counters (no-ops with obs disabled). Caller
+// holds encMu.
+func (pc *peerConn) encode(f *wire.Frame) error {
 	if pc.n.asyncOn() && (f.Kind == wire.KindSyn || f.Kind == wire.KindAck) {
 		// Async mode piggybacks the synchronizer's cumulative safe counter on
-		// every rendezvous frame toward this peer; retransmissions carry the
-		// freshest value automatically because it is read per encode.
+		// every rendezvous frame toward this peer, read at encode time so a
+		// queued frame or a retransmission carries the freshest value.
 		f.Safe = pc.n.safeFor(pc.node)
 	}
-	pc.pending.Add(1)
-	//nolint:lockcheck released early on every branch below: the flush-on-idle protocol must drop the lock before yielding so later senders can encode
-	pc.mu.Lock()
 	k := int(f.Kind)
 	before := 0
 	if k < len(pc.n.wireBytes) {
@@ -181,45 +337,41 @@ func (pc *peerConn) send(f *wire.Frame) error {
 		pc.n.wireFrames[k].Add(1)
 		pc.n.wireBytes[k].Add(int64(pc.enc.Stats.Bytes[k] - before))
 	}
-	if pc.pending.Add(-1) > 0 {
-		// A later sender is already committed to encoding; the flush is its
-		// (or its successor's) responsibility.
-		pc.mu.Unlock()
-		return err
-	}
-	pc.mu.Unlock()
-	if pc.n.cfg.NoCoalesce {
-		return err // Encode flushed itself
-	}
-	for y := 0; y < flushYields; y++ {
-		runtime.Gosched()
-		if pc.pending.Load() > 0 {
-			return err // a new sender arrived; it inherits the flush
-		}
-	}
-	pc.mu.Lock()
-	// Recheck under the lock: a sender that slipped in after the last yield
-	// holds or awaits mu, and pending covers it either way.
-	if pc.pending.Load() == 0 {
-		if ferr := pc.enc.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	pc.mu.Unlock()
 	return err
+}
+
+// writeFailed records the connection's first write error, after which
+// sends fail fast. Fail-stop mode aborts the run, as a failed send always
+// has; recovery mode closes the stream so the reader sees the loss and
+// drives the reconnect.
+func (pc *peerConn) writeFailed(err error) {
+	pc.mu.Lock()
+	first := pc.err == nil
+	if first {
+		pc.err = err
+	}
+	pc.mu.Unlock()
+	if !first || pc.n.stopped() {
+		return
+	}
+	if pc.n.rec == nil {
+		pc.n.fail(fmt.Errorf("node %d: connection to node %d: %w", pc.n.cfg.Node, pc.node, err))
+		return
+	}
+	_ = pc.c.Close()
 }
 
 // overhead snapshots the encoder's piggyback accounting.
 func (pc *peerConn) overhead() core.Overhead {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
+	pc.encMu.Lock()
+	defer pc.encMu.Unlock()
 	return pc.enc.Overhead
 }
 
 // stats snapshots the encoder's per-kind frame accounting.
 func (pc *peerConn) stats() wire.Stats {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
+	pc.encMu.Lock()
+	defer pc.encMu.Unlock()
 	return pc.enc.Stats
 }
 
@@ -247,17 +399,17 @@ type Node struct {
 	failErr error
 
 	mu         sync.Mutex
-	conns      []*peerConn     // indexed by peer node; nil until connected
-	waiters    []chan vector.V // indexed by local sender process; nil unless a send is parked
-	waiterSeq  []uint64        // sequence number each parked sender expects its ACK to echo
-	retired    []*peerConn     // replaced or dead connections, kept for accounting
-	epochs     []int           // highest HELLO epoch used/seen per peer
-	excluded   []bool          // peers removed from the run (PeerLossExclude)
-	byeSeen    []bool          // peers that announced completion
-	byeFailed  []bool          // peers our own BYE provably did not reach
-	recovering []bool          // peers with a recoverPeer goroutine in flight
-	byeSent    bool            // this node announced completion
-	exclCh     chan struct{}   // closed+replaced on each exclusion (broadcast)
+	conns      []*peerConn   // indexed by peer node; nil until connected
+	waiters    []chan reply  // indexed by local sender process; nil unless a send is parked
+	waiterSeq  []uint64      // sequence number each parked sender expects its ACK to echo
+	retired    []*peerConn   // replaced or dead connections, kept for accounting
+	epochs     []int         // highest HELLO epoch used/seen per peer
+	excluded   []bool        // peers removed from the run (PeerLossExclude)
+	byeSeen    []bool        // peers that announced completion
+	byeFailed  []bool        // peers our own BYE provably did not reach
+	recovering []bool        // peers with a recoverPeer goroutine in flight
+	byeSent    bool          // this node announced completion
+	exclCh     chan struct{} // closed+replaced on each exclusion (broadcast)
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
 
@@ -292,6 +444,7 @@ type Node struct {
 	connDone  chan struct{} // closed once the connect phase stops counting
 	acceptWG  sync.WaitGroup
 	readersWG sync.WaitGroup
+	writersWG sync.WaitGroup
 	startOnce sync.Once
 
 	// Observability: the surface, its resolved instruments, the per-kind
@@ -366,7 +519,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 		tr:         tr,
 		stop:       make(chan struct{}),
 		conns:      make([]*peerConn, nodes),
-		waiters:    make([]chan vector.V, cfg.Dec.N()),
+		waiters:    make([]chan reply, cfg.Dec.N()),
 		waiterSeq:  make([]uint64, cfg.Dec.N()),
 		epochs:     make([]int, nodes),
 		excluded:   make([]bool, nodes),
@@ -431,7 +584,7 @@ func (n *Node) Stop() {
 		n.mu.Unlock()
 		for _, pc := range conns {
 			if pc != nil {
-				_ = pc.c.Close()
+				pc.close()
 			}
 		}
 	})
@@ -443,6 +596,7 @@ func (n *Node) Close() {
 	n.acceptWG.Wait()
 	n.recoveryWG.Wait()
 	n.readersWG.Wait()
+	n.writersWG.Wait()
 }
 
 // fail records the first abort cause and stops the node. The first failure
@@ -531,11 +685,7 @@ func (n *Node) handleAccept(c net.Conn) error {
 			return fmt.Errorf("node %d: handshake reply to node %d: %w", n.cfg.Node, f.Node, err)
 		}
 		_ = c.SetDeadline(time.Time{})
-		// The HELLO above flushed itself; from here the stream carries data
-		// frames, which coalesce under the flush-on-idle writer.
-		enc.SetBatch(!n.cfg.NoCoalesce)
-		pc := &peerConn{n: n, node: f.Node, epoch: f.Epoch, c: c, enc: enc, dec: dec}
-		if err := n.register(pc); err != nil {
+		if err := n.register(newPeerConn(n, f.Node, f.Epoch, c, enc, dec)); err != nil {
 			return err
 		}
 		// Announce to the connect phase if it is still counting peers; a
@@ -559,16 +709,22 @@ func (n *Node) handleAccept(c net.Conn) error {
 	}
 }
 
-// register records an established data connection and starts its reader. A
-// connection with a strictly higher HELLO epoch replaces the existing one
-// (session resume after a peer loss this side has not noticed yet); equal
-// or lower epochs are duplicates and refused.
+// register records an established data connection and starts its reader
+// and writer. A connection with a strictly higher HELLO epoch replaces the
+// existing one (session resume after a peer loss this side has not noticed
+// yet); equal or lower epochs are duplicates and refused, and so is any
+// connection after Stop, which would otherwise escape its teardown.
 func (n *Node) register(pc *peerConn) error {
 	n.mu.Lock()
+	stopped := n.stopped()
 	old := n.conns[pc.node]
 	dup := old != nil && pc.epoch <= old.epoch
 	var announce bool
-	if !dup {
+	if !stopped && !dup {
+		// Joined by Close; added under mu so a Stop racing this registration
+		// either sees the connection or makes the check above refuse it.
+		n.readersWG.Add(1)
+		n.writersWG.Add(1)
 		n.conns[pc.node] = pc
 		if pc.epoch > n.epochs[pc.node] {
 			n.epochs[pc.node] = pc.epoch
@@ -579,29 +735,32 @@ func (n *Node) register(pc *peerConn) error {
 		announce = n.byeSent
 	}
 	n.mu.Unlock()
+	if stopped {
+		return ErrStopped
+	}
 	if dup {
 		return fmt.Errorf("node %d: duplicate connection from node %d", n.cfg.Node, pc.node)
 	}
 	if old != nil {
-		_ = old.c.Close()
+		old.close()
 	}
 	if pc.epoch > 0 {
 		n.reconnects.Add(1)
 		n.ins.Reconnects.Add(1)
 	}
-	n.readersWG.Add(1)
 	go n.readLoop(pc)
+	go pc.writeLoop()
 	if announce {
 		// Our run already finished; the resumed session must still learn it
 		// (and a BYE the dead session swallowed is re-announced here, which
 		// settles the debt holding our own end-of-run barrier open).
-		if err := pc.send(&wire.Frame{Kind: wire.KindBye}); err == nil {
+		if err := pc.sendFlushed(&wire.Frame{Kind: wire.KindBye}); err == nil {
 			n.mu.Lock()
 			n.byeFailed[pc.node] = false
 			n.mu.Unlock()
 			n.notePeerEvent()
 		} else {
-			n.noteByeFailed(pc.node)
+			n.noteByeFailed(pc.node, pc)
 		}
 	}
 	return nil
@@ -639,8 +798,7 @@ func (n *Node) dialPeer(j, epoch int) error {
 		return fmt.Errorf("node %d: node %d has topology digest %#x, ours is %#x (mismatched decomposition or placement)", n.cfg.Node, j, f.Digest, n.digest)
 	}
 	_ = c.SetDeadline(time.Time{})
-	enc.SetBatch(!n.cfg.NoCoalesce)
-	return n.register(&peerConn{n: n, node: j, epoch: epoch, c: c, enc: enc, dec: dec})
+	return n.register(newPeerConn(n, j, epoch, c, enc, dec))
 }
 
 // connect establishes the full data mesh: dial every lower node, await a
@@ -708,18 +866,10 @@ func (n *Node) readLoop(pc *peerConn) {
 					if reack != nil {
 						// The merge committed but its ACK was lost: answer
 						// the retransmission from the cache, idempotently.
-						// Asynchronously — the read loop is this connection's
-						// only drain, and two nodes re-ACKing each other over
-						// unbuffered streams would deadlock if either blocked
-						// here. The goroutine unblocks when the peer reads or
-						// the connection dies; readersWG makes it joinable at
-						// Close, which closes the conn first so send cannot
-						// block forever.
-						n.readersWG.Add(1)
-						go func() {
-							defer n.readersWG.Done()
-							_ = pc.send(reack)
-						}()
+						// Inline: send only queues the frame for the
+						// writer, so the read loop, this connection's only
+						// drain, never blocks on it.
+						_ = pc.send(reack)
 					}
 					continue
 				}
@@ -730,22 +880,28 @@ func (n *Node) readLoop(pc *peerConn) {
 				return
 			}
 		case wire.KindAck:
+			// Delivery happens under mu, where registerWaiter empties the
+			// sender's reused reply slot: an ACK can land in the slot only
+			// while the send it answers is registered, so no stale ACK ever
+			// sits ahead of the live one.
 			n.mu.Lock()
-			var w chan vector.V
-			if f.To >= 0 && f.To < len(n.waiters) && n.waiterSeq[f.To] == f.Seq {
-				w = n.waiters[f.To]
+			delivered := false
+			if f.To >= 0 && f.To < len(n.waiters) && n.waiters[f.To] != nil && n.waiterSeq[f.To] == f.Seq {
+				select {
+				case n.waiters[f.To] <- reply{seq: f.Seq, vec: f.Vec}:
+					delivered = true
+				default: // unreachable: the slot was emptied at registration
+				}
 				n.waiters[f.To] = nil
 			}
 			n.mu.Unlock()
-			if w == nil {
+			if !delivered {
 				// A sender whose rendezvous deadline expired has already
 				// cleared its waiter, and a duplicate ACK's sender has moved
 				// on to another sequence number — both are legitimate races,
 				// not protocol violations: count and keep reading.
 				n.noteDropped()
-				continue
 			}
-			w <- f.Vec // buffered; the sender may have timed out, never blocks
 		case wire.KindBye:
 			n.mu.Lock()
 			n.byeSeen[pc.node] = true
@@ -778,16 +934,28 @@ func (n *Node) noteDropped() {
 // far (late ACKs after a rendezvous timeout, unexpected kinds).
 func (n *Node) DroppedFrames() int64 { return n.dropped.Load() }
 
-// registerWaiter parks a sender: the next ACK addressed to proc and
-// echoing seq lands on the returned channel. Must be called before the SYN
-// is written, or the ACK could race past.
-func (n *Node) registerWaiter(proc int, seq uint64) chan vector.V {
-	ch := make(chan vector.V, 1)
+// registerWaiter parks a sender on its reply slot: the next ACK addressed
+// to proc and echoing seq lands on ch. Must be called before the SYN is
+// queued, or the ACK could race past. A reply left in the slot by an
+// abandoned send is discarded and counted as dropped; it is emptied under
+// mu, the lock the read loop delivers under, so nothing stale can arrive
+// after it.
+func (n *Node) registerWaiter(proc int, seq uint64, ch chan reply) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.dropStale(ch)
 	n.waiters[proc] = ch
 	n.waiterSeq[proc] = seq
-	n.mu.Unlock()
-	return ch
+}
+
+// dropStale empties a reply slot of an answer to an abandoned send,
+// counting it as dropped.
+func (n *Node) dropStale(ch chan reply) {
+	select {
+	case <-ch:
+		n.noteDropped()
+	default:
+	}
 }
 
 func (n *Node) clearWaiter(proc int) {
@@ -890,12 +1058,13 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 	errs := make([]error, len(n.local))
 	var wg sync.WaitGroup
 	for i, p := range n.local {
+		procs[i] = newProcess(n, p)
 		if st := n.restored[p]; st != nil {
 			// Resume from the journal: the clock, log, and send sequence
 			// counter continue where the previous incarnation committed.
-			procs[i] = &Process{id: p, n: n, clock: st.clock, log: st.log, seq: st.seq}
+			procs[i].clock, procs[i].log, procs[i].seq = st.clock, st.log, st.seq
 		} else {
-			procs[i] = &Process{id: p, n: n, clock: core.NewClock(p, n.cfg.Dec)}
+			procs[i].clock = core.NewClock(p, n.cfg.Dec)
 		}
 		prog := programs[p]
 		if prog == nil {
@@ -931,11 +1100,11 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 					// The peer is mid-reconnect: our BYE has no connection to
 					// travel on. Recovery re-announces it on the resumed
 					// session; until then the peer may be parked on our BYE.
-					n.noteByeFailed(j)
+					n.noteByeFailed(j, nil)
 				}
 				continue
 			}
-			if err := pc.send(&wire.Frame{Kind: wire.KindBye}); err != nil && !n.stopped() {
+			if err := pc.sendFlushed(&wire.Frame{Kind: wire.KindBye}); err != nil && !n.stopped() {
 				if n.rec == nil {
 					n.fail(fmt.Errorf("node %d: closing connection to node %d: %w", n.cfg.Node, pc.node, err))
 					continue
@@ -944,7 +1113,7 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 				// and its end-of-run barrier is now waiting on us. Mark the
 				// debt so our own barrier holds until a resumed session
 				// re-announces (register clears the debt).
-				n.noteByeFailed(j)
+				n.noteByeFailed(j, pc)
 			}
 		}
 	}
@@ -958,6 +1127,14 @@ func (n *Node) Run(programs map[int]func(*Process) error) (*RunInfo, error) {
 	n.mu.Lock()
 	conns := append(append([]*peerConn(nil), n.conns...), n.retired...)
 	n.mu.Unlock()
+	// Join the writers before closing: whatever they still hold queued (a
+	// late re-ACK under recovery) is written or has failed, and the
+	// accounting below is final.
+	for _, pc := range conns {
+		if pc != nil {
+			pc.drain()
+		}
+	}
 	for _, pc := range conns {
 		if pc == nil {
 			continue

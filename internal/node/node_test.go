@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -417,4 +418,97 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: nil}, NewLoop(1).Transport(0)); err == nil {
 		t.Fatal("accepted a nil decomposition")
 	}
+}
+
+// TestStaleAckNeverAdopted pins the reused reply slot's seq tag. Process 0
+// sends to remote process 1 twice; a forged answer to the first send lands
+// in process 0's slot twice over — once before the second Send registers
+// (emptied at registration) and once while it is parked (discarded by the
+// seq check). Both are counted as dropped frames, neither is adopted, and
+// the second Send adopts the stamp its own ACK carries: the run matches the
+// sequential oracle.
+func TestStaleAckNeverAdopted(t *testing.T) {
+	leakCheck(t)
+	dec := decomp.Best(graph.Path(2))
+	placement := []int{0, 1}
+	ts := loopTransports(2)
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		n, err := New(Config{Node: i, Placement: placement, Dec: dec}, ts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[i] = n
+	}
+	// A dominating stamp: adopting it would silently corrupt every later
+	// stamp of process 0 rather than fail.
+	bogus := vector.New(dec.D())
+	for i := range bogus {
+		bogus[i] = 1000
+	}
+	stale := reply{seq: 1, vec: bogus}
+	sender := make(chan *Process, 1)
+	waitFor := func(cond func() bool) error {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				return errors.New("timed out")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	programs := map[int]func(*Process) error{
+		0: func(p *Process) error {
+			sender <- p
+			if _, err := p.Send(1); err != nil {
+				return err
+			}
+			p.ack <- stale // left over before the next Send
+			_, err := p.Send(1)
+			return err
+		},
+		1: func(p *Process) error {
+			if _, err := p.RecvFrom(0); err != nil {
+				return err
+			}
+			// The second SYN in our mailbox means the sender is registered
+			// on its slot: land the stale answer ahead of the real one, and
+			// ACK only once the sender has discarded it.
+			if err := waitFor(func() bool { return len(nodes[1].mailboxes[1]) > 0 }); err != nil {
+				return fmt.Errorf("second SYN: %w", err)
+			}
+			(<-sender).ack <- stale
+			if err := waitFor(func() bool { return nodes[0].DroppedFrames() == 2 }); err != nil {
+				return fmt.Errorf("stale answers dropped %d of 2: %w", nodes[0].DroppedFrames(), err)
+			}
+			_, err := p.RecvFrom(0)
+			return err
+		},
+	}
+	infos := make([]*RunInfo, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range nodes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			infos[i], errs[i] = nodes[i].Run(programs)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	if got := infos[0].Dropped; got != 2 {
+		t.Fatalf("node 0 dropped %d frames, want the 2 stale answers", got)
+	}
+	res, err := csp.Reconstruct(dec, [][]csp.Record{infos[0].Logs[0], infos[1].Logs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAgainstSequential(t, res, dec, 2)
 }

@@ -38,6 +38,40 @@ type Process struct {
 	// stash holds rendezvous requests taken off the mailbox while waiting
 	// for a specific sender in RecvFrom; their senders stay parked.
 	stash []inbound
+	// ack is the reply slot every Send of this process parks on: a local
+	// receiver answers on it directly, the read loop for a remote one.
+	// Answers carry the seq they answer, and a stale one is discarded.
+	ack chan reply
+	// timer and retry are the rendezvous deadline and the retransmission
+	// interval, likewise reused by every Send (see rearm).
+	timer *time.Timer
+	retry *time.Timer
+}
+
+// newProcess returns the handle for process id with its reusable send
+// slots; the caller fills in the clock and any resumed state.
+func newProcess(n *Node, id int) *Process {
+	return &Process{id: id, n: n, ack: make(chan reply, 1), timer: stoppedTimer(), retry: stoppedTimer()}
+}
+
+func stoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// rearm restarts a reusable timer for d. go.mod selects the pre-1.23 timer
+// semantics, where a timer that fired unobserved keeps the value in its
+// channel across Stop and Reset; it is drained here so the channel reports
+// only this arming.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // nextSeq allocates the next send sequence number.
@@ -64,8 +98,8 @@ func (p *Process) Send(q int) (vector.V, error) {
 		return nil, fmt.Errorf("node: destination %d out of range [0,%d)", q, len(p.n.cfg.Placement))
 	}
 	n := p.n
-	timer := time.NewTimer(n.cfg.RendezvousTimeout)
-	defer timer.Stop()
+	rearm(p.timer, n.cfg.RendezvousTimeout)
+	defer p.timer.Stop()
 
 	pre := p.clock.Current()
 	n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
@@ -73,23 +107,22 @@ func (p *Process) Send(q int) (vector.V, error) {
 	seq := p.nextSeq()
 	target := n.cfg.Placement[q]
 	remote := target != n.cfg.Node
-	var ack chan vector.V
 	var syn *wire.Frame
 	if !remote {
-		in := inbound{from: p.id, seq: seq, vec: pre, reply: make(chan vector.V, 1)}
+		n.dropStale(p.ack)
+		in := inbound{from: p.id, seq: seq, vec: pre, reply: p.ack}
 		select {
 		case n.mailboxes[q] <- in:
 		case <-n.stop:
 			return nil, ErrStopped
-		case <-timer.C:
+		case <-p.timer.C:
 			err := fmt.Errorf("node: process %d -> %d: rendezvous deadline %v exceeded", p.id, q, n.cfg.RendezvousTimeout)
 			n.fail(err)
 			return nil, err
 		}
 		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
-		ack = in.reply
 	} else {
-		ack = n.registerWaiter(p.id, seq)
+		n.registerWaiter(p.id, seq, p.ack)
 		syn = &wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
 		if err := n.sendToPeer(target, syn); err != nil {
 			if n.rec == nil {
@@ -113,7 +146,6 @@ func (p *Process) Send(q int) (vector.V, error) {
 	// partner's node was removed from the run). In async mode the fixed
 	// min/max backoff is replaced by the synchronizer's adaptive interval:
 	// the peer's Jacobson RTO, doubled per attempt and jittered.
-	var retryT *time.Timer
 	var retryC <-chan time.Time
 	var exclC chan struct{}
 	var backoff time.Duration
@@ -131,16 +163,22 @@ func (p *Process) Send(q int) (vector.V, error) {
 		} else {
 			backoff = n.rec.RetransmitMin
 		}
-		retryT = time.NewTimer(backoff)
-		defer retryT.Stop()
-		retryC = retryT.C
+		rearm(p.retry, backoff)
+		defer p.retry.Stop()
+		retryC = p.retry.C
 		exclC = n.exclusionCh()
 	}
 
 	t1 := n.obsv.Now()
 	for {
 		select {
-		case stamp := <-ack:
+		case r := <-p.ack:
+			if r.seq != seq {
+				// An answer to an earlier, abandoned send: never adopted.
+				n.noteDropped()
+				continue
+			}
+			stamp := r.vec
 			n.ins.SynAckNS.Observe(n.obsv.Now() - t1)
 			if peer != nil {
 				// Feed the estimator. Karn's rule and the Eifel-style spurious
@@ -182,7 +220,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 				n.clearWaiter(p.id)
 			}
 			return nil, ErrStopped
-		case <-timer.C:
+		case <-p.timer.C:
 			if remote {
 				n.clearWaiter(p.id)
 			}
@@ -218,7 +256,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 					backoff = n.rec.RetransmitMax
 				}
 			}
-			retryT.Reset(backoff)
+			p.retry.Reset(backoff)
 		}
 	}
 }
@@ -306,7 +344,9 @@ func (p *Process) complete(in inbound) (Message, error) {
 		return Message{}, err
 	}
 	if in.reply != nil {
-		in.reply <- stamp // buffered; the sender is parked on it
+		// Buffered, and emptied by the sender before it posted the request:
+		// the sender is parked on it and this never blocks.
+		in.reply <- reply{seq: in.seq, vec: stamp}
 	} else {
 		if p.n.rec != nil {
 			p.n.noteMerged(in.from, in.seq, p.id, stamp)

@@ -178,20 +178,29 @@ func (n *Node) peerDone(j int) bool {
 	return (n.byeSeen[j] && !n.byeFailed[j]) || n.excluded[j]
 }
 
-// noteByeFailed records that this node's BYE did not reach peer j (write
-// error, or no connection at all) and, if no reconnect is already being
-// driven, starts one: the peer's end-of-run barrier is parked on that BYE,
-// and under the dial convention the peer may be waiting passively.
-func (n *Node) noteByeFailed(j int) {
+// noteByeFailed records that this node's BYE did not reach peer j over pc
+// (a write error; nil pc: no connection at all) and, if no reconnect is
+// already being driven, starts one: the peer's end-of-run barrier is
+// parked on that BYE, and under the dial convention the peer may be
+// waiting passively.
+//
+// A failure on a connection that is no longer current owes nothing: its
+// successor registered after byeSent was set, so register announced the
+// BYE on it and settled the debt — possibly before this call, which must
+// not reopen it. If pc is still current, it is dying (a failed write
+// closes it), and its read loop's peerLost drives the reconnect whose
+// register re-announces.
+func (n *Node) noteByeFailed(j int, pc *peerConn) {
 	n.mu.Lock()
-	n.byeFailed[j] = true
-	dead := n.conns[j] == nil
+	cur := n.conns[j]
+	superseded := cur != nil && cur != pc
+	if !superseded {
+		n.byeFailed[j] = true
+	}
 	n.mu.Unlock()
-	if dead {
+	if cur == nil {
 		n.spawnRecovery(j, errByeUndelivered)
 	}
-	// A live connection means the failure raced a reconnect (or the conn is
-	// dying and its read loop is about to notice); either path re-announces.
 }
 
 // spawnRecovery starts recoverPeer for a peer unless one is already
@@ -229,7 +238,7 @@ func (n *Node) peerLost(pc *peerConn, cause error) {
 		// Already replaced by a reconnect; nothing was lost.
 		return
 	}
-	_ = pc.c.Close()
+	pc.close()
 	if finished || n.stopped() {
 		return
 	}

@@ -465,3 +465,44 @@ func TestDialClassification(t *testing.T) {
 		t.Fatal("out-of-range dial succeeded")
 	}
 }
+
+// TestByeFailureOnSupersededConnOwesNothing pins noteByeFailed's ownership
+// rule. A BYE that failed on a connection a reconnect has since replaced,
+// or that found no connection before one was registered, leaves no debt:
+// the replacement registered after byeSent, so register announced the BYE
+// on it, possibly before the failure was noted. Reopening the debt then
+// would hold this node's end-of-run barrier open for a BYE already
+// delivered. A failure on the current connection does owe it.
+func TestByeFailureOnSupersededConnOwesNothing(t *testing.T) {
+	dec := decomp.Best(graph.Path(2))
+	n, err := New(Config{Node: 0, Placement: []int{0, 1}, Dec: dec,
+		Recovery: &RecoveryConfig{OnPeerLoss: PeerLossWait}}, loopTransports(2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	replaced, cur := &peerConn{}, &peerConn{}
+	n.mu.Lock()
+	n.conns[1] = cur
+	n.mu.Unlock()
+	owes := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.byeFailed[1]
+	}
+	n.noteByeFailed(1, replaced)
+	if owes() {
+		t.Fatal("a BYE failure on a replaced connection reopened the debt")
+	}
+	n.noteByeFailed(1, nil)
+	if owes() {
+		t.Fatal("a BYE that found no connection reopened the debt after a reconnect")
+	}
+	n.noteByeFailed(1, cur)
+	if !owes() {
+		t.Fatal("a BYE failure on the current connection owes nothing")
+	}
+	n.mu.Lock()
+	n.conns[1] = nil // the stand-ins have no stream for Close to shut
+	n.mu.Unlock()
+}

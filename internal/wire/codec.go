@@ -210,8 +210,8 @@ func NewEncoder(w io.Writer, d int) *Encoder {
 // SetBatch switches the encoder between flush-per-frame (the default, every
 // Encode reaches the transport before returning) and batch mode, where
 // frames accumulate in the write buffer until Flush — the coalescing mode
-// internal/node drives with its flush-on-idle writer, trading one transport
-// write per frame for one per burst.
+// internal/node's per-connection writer goroutine drives, trading one
+// transport write per frame for one per burst.
 func (e *Encoder) SetBatch(batch bool) { e.batch = batch }
 
 // Flush forces every encoded frame onto the underlying stream. It is a
