@@ -88,11 +88,13 @@ async-test:
 
 # Load/collector gate: the open-loop driver and the sharded collector tree
 # under the race detector (incremental oracle, spill recovery, leaf-crash
-# and straggler paths), then the 100k-client scale acceptance run and a
-# spilling tsload control run end to end.
+# and straggler paths, copy-on-Ingest, the journal-line encoder's identity
+# with encoding/json and the spill path's allocation budgets), then the
+# 100k-client scale acceptance run and a spilling tsload control run end to
+# end.
 load-test:
 	$(GO) test -race ./internal/load ./internal/check ./cmd/tsload
-	$(GO) test -race -run 'TestCollector|TestSpill|TestCollectTree|TestCollectTimeout' ./internal/node
+	$(GO) test -race -run 'TestCollector|TestSpill|TestCollectTree|TestCollectTimeout|TestJournalLine|FuzzJournalLine' ./internal/node
 	$(GO) test -run TestLoadHundredThousandClients -v ./internal/load
 	dir=$$(mktemp -d) && $(GO) run ./cmd/tsload -servers 8 -clients 5000 -msgs 2 \
 		-zipf 0.9 -leaves 4 -spill-dir $$dir -segment 512 -control && rm -rf $$dir
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStampTrace -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzVectorDelta -fuzztime=10s ./internal/vector
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzJournalLine -fuzztime=10s ./internal/node
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -fuzz=FuzzNolint -fuzztime=10s ./internal/lint
 

@@ -20,9 +20,10 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -188,11 +189,23 @@ type serverState struct {
 // keeps pacing honest (the worker sleeps toward the earliest due event)
 // while client order is preserved because sort is stable and a client's
 // own due times are nondecreasing.
+//
+// Each client draws from its own seeded stream. One generator re-seeded
+// per client yields exactly the streams a fresh rand.NewSource per client
+// would, without allocating a ~5 KB source for every client.
 func schedules(cfg Config) [][]event {
 	skew := graph.NewSkew(cfg.Servers, cfg.ZipfTheta)
 	perWorker := make([][]event, cfg.Workers)
+	for w := range perWorker {
+		clients := cfg.Clients / cfg.Workers
+		if w < cfg.Clients%cfg.Workers {
+			clients++
+		}
+		perWorker[w] = make([]event, 0, clients*cfg.MessagesPerClient)
+	}
+	rng := rand.New(rand.NewSource(0))
 	for c := 0; c < cfg.Clients; c++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*2654435761))
+		rng.Seed(cfg.Seed + int64(c)*2654435761)
 		w := c % cfg.Workers
 		at := 0.0
 		for i := 0; i < cfg.MessagesPerClient; i++ {
@@ -210,7 +223,7 @@ func schedules(cfg Config) [][]event {
 		}
 	}
 	for _, evs := range perWorker {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].due < evs[j].due })
+		slices.SortStableFunc(evs, func(a, b event) int { return cmp.Compare(a.due, b.due) })
 	}
 	return perWorker
 }
@@ -312,19 +325,19 @@ func Run(cfg Config) (*Result, error) {
 // and streams both halves into the tree. The client's lock is held across
 // the whole rendezvous (its program order), the server's only across the
 // clock merge and its own record (its program order is its lock order).
+// The message stamp is the client's merged clock itself: the tree copies
+// it on Ingest, so no per-request clone is needed.
 func rendezvous(topo *Topology, c *clientState, s *serverState, tree *node.CollectorTree, e event) {
 	g := e.server // the channel's group is the server's star
 	c.mu.Lock()
 	s.mu.Lock()
-	stamp := c.v.Clone()
-	stamp.Max(s.v)
-	stamp[g]++
-	copy(c.v, stamp)
-	copy(s.v, stamp)
+	c.v.Max(s.v)
+	c.v[g]++
+	copy(s.v, c.v)
 	// The server's receive half is ingested under its lock so the tree
 	// sees the server's records in the order its clock advanced.
-	_ = tree.Ingest(e.server, csp.Record{Kind: csp.RecordRecv, Peer: e.client, Stamp: stamp})
+	_ = tree.Ingest(e.server, csp.Record{Kind: csp.RecordRecv, Peer: e.client, Stamp: c.v})
 	s.mu.Unlock()
-	_ = tree.Ingest(e.client, csp.Record{Kind: csp.RecordSend, Peer: e.server, Stamp: stamp})
+	_ = tree.Ingest(e.client, csp.Record{Kind: csp.RecordSend, Peer: e.server, Stamp: c.v})
 	c.mu.Unlock()
 }

@@ -7,8 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"syncstamp/internal/check"
+	"syncstamp/internal/csp"
 	"syncstamp/internal/decomp"
 	"syncstamp/internal/graph"
+	"syncstamp/internal/vector"
 )
 
 // benchMatching builds a P-pair matching topology split across two nodes:
@@ -158,6 +161,63 @@ func benchJournalAppend(b *testing.B, each bool, workers int) {
 func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, false, 8) }
 
 func BenchmarkJournalAppendSyncEach(b *testing.B) { benchJournalAppend(b, true, 8) }
+
+// BenchmarkJournalAppendBatch measures the collector's spill commit: one
+// AppendBatch of a 4096-record segment with 16-component stamps — encode,
+// one Write, one fsync; ns/op is per segment.
+func BenchmarkJournalAppendBatch(b *testing.B) {
+	j, _, err := OpenJournal(filepath.Join(b.TempDir(), "bench.spill"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	recs := benchSegment(4096, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := j.AppendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCollectorTreeIngest drives client-server rendezvous through a
+// 4-leaf spilling collector tree, the load driver's shape: each op merges
+// a client and a server clock and ingests both halves from one reused
+// stamp, so ns/op is per rendezvous (two Ingests), verification and spill
+// included.
+func BenchmarkCollectorTreeIngest(b *testing.B) {
+	const servers, clients = 16, 256
+	dec := decomp.Best(graph.ClientServer(servers, clients, false))
+	tree, err := NewCollectorTree(check.NewDecompTopology(dec), TreeConfig{Leaves: 4, SpillDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clocks := make([]vector.V, servers+clients)
+	for p := range clocks {
+		clocks[p] = vector.New(dec.D())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, c := i%servers, servers+(i*7)%clients
+		g, _ := dec.GroupOf(s, c)
+		stamp := clocks[c]
+		stamp.Max(clocks[s])
+		stamp[g]++
+		copy(clocks[s], stamp)
+		_ = tree.Ingest(s, csp.Record{Kind: csp.RecordRecv, Peer: c, Stamp: stamp})
+		_ = tree.Ingest(c, csp.Record{Kind: csp.RecordSend, Peer: s, Stamp: stamp})
+	}
+	v, err := tree.Finish()
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !v.OK {
+		b.Fatalf("tree rejected the run: %v", v.Problems)
+	}
+}
 
 // TestNodeHotPathAllocBudget pins the per-message allocation count of the
 // full distributed rendezvous path: goroutine handoffs, journal-free

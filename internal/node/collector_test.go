@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -406,5 +407,91 @@ func TestCollectTimeoutNamesStraggler(t *testing.T) {
 	}
 	if !strings.Contains(collectErr.Error(), "still waiting on node(s) [2]") {
 		t.Fatalf("timeout error does not name the straggler: %v", collectErr)
+	}
+}
+
+// TestCollectorTreeIngestCopiesStamp holds Ingest to its copy contract:
+// a caller that reuses one stamp buffer for every record, scribbling over
+// it as soon as Ingest returns, must get the same verdict, the same
+// retained logs and byte-identical spill files as a caller handing over a
+// fresh clone each time. Each leaf cycles through all its handoff batches
+// several times, under a segment smaller than one batch and under one
+// longer than the leaf's whole in-flight bound (so a segment outlives the
+// batches its records arrived in).
+func TestCollectorTreeIngestCopiesStamp(t *testing.T) {
+	const leaves = 2
+	var in *check.Input
+	for seed := int64(0); seed < 100 && in == nil; seed++ {
+		c := check.GenInput(seed, check.Config{MaxProcs: 10, MaxMessages: 6000})
+		if c.Trace.NumMessages() >= 2*leaves*leafBatches*batchRecords {
+			in = c
+		}
+	}
+	if in == nil {
+		t.Fatalf("no generated trace carries %d messages", 2*leaves*leafBatches*batchRecords)
+	}
+	logs := oracleLogs(t, in)
+	topo := check.NewDecompTopology(in.Dec)
+	run := func(segment int, reuse bool) (*TreeVerdict, [][]csp.Record, [][]byte) {
+		dir := t.TempDir()
+		tree, err := NewCollectorTree(topo, TreeConfig{Leaves: leaves, SpillDir: dir, SegmentRecords: segment, KeepLogs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make(vector.V, in.Dec.D())
+		// Round-robin over the processes: program order per process,
+		// records of different processes interleaved across batches.
+		for i := 0; ; i++ {
+			fed := false
+			for p, log := range logs {
+				if i >= len(log) {
+					continue
+				}
+				fed = true
+				rec := log[i]
+				if reuse && rec.Stamp != nil {
+					copy(buf, rec.Stamp)
+					rec.Stamp = buf[:len(rec.Stamp)]
+				} else if rec.Stamp != nil {
+					rec.Stamp = rec.Stamp.Clone()
+				}
+				_ = tree.Ingest(p, rec)
+				for k := range buf {
+					buf[k] = -1
+				}
+			}
+			if !fed {
+				break
+			}
+		}
+		v, err := tree.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spills := make([][]byte, leaves)
+		for leaf := range spills {
+			if spills[leaf], err = os.ReadFile(SpillPath(dir, leaf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v, tree.Logs(), spills
+	}
+	for _, segment := range []int{100, leafBatches*batchRecords + 500} {
+		wantV, wantLogs, wantSpill := run(segment, false)
+		gotV, gotLogs, gotSpill := run(segment, true)
+		if !wantV.OK {
+			t.Fatalf("segment %d: clean run rejected: %v", segment, wantV.Problems)
+		}
+		if !reflect.DeepEqual(gotV, wantV) {
+			t.Fatalf("segment %d: reused-buffer verdict %+v, fresh-clone verdict %+v", segment, gotV, wantV)
+		}
+		if !reflect.DeepEqual(gotLogs, wantLogs) || !reflect.DeepEqual(gotLogs, logs) {
+			t.Fatalf("segment %d: reused-buffer run retained different logs", segment)
+		}
+		for leaf := range wantSpill {
+			if !bytes.Equal(gotSpill[leaf], wantSpill[leaf]) {
+				t.Fatalf("segment %d shard %d: reused-buffer spill differs from the fresh-clone spill", segment, leaf)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"syncstamp/internal/core"
@@ -181,11 +182,9 @@ func replayJournal(f *os.File) (recs []JournalRecord, restarts int, good int64, 
 // either this goroutine wrote and fsynced it (fsync-per-record mode, or as
 // the batch leader), or it waited for the leader whose batch carried it.
 func (j *Journal) Append(rec JournalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("node: journal encode: %w", err)
-	}
-	return j.commit(append(b, '\n'), 1)
+	one := [1]JournalRecord{rec}
+	_, err := j.commit(one[:])
+	return err
 }
 
 // AppendBatch commits records as one segment: all lines in one Write, made
@@ -197,39 +196,42 @@ func (j *Journal) AppendBatch(recs []JournalRecord) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	var buf []byte
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("node: journal encode: %w", err)
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	return len(buf), j.commit(buf, int64(len(recs)))
+	return j.commit(recs)
 }
 
-// commit makes one pre-marshaled run of complete JSONL lines durable,
-// counting it as count records.
-func (j *Journal) commit(b []byte, count int64) error {
+// commit makes recs durable as one run of complete JSONL lines and returns
+// the bytes they encode to. The lines are encoded under mu straight into
+// the buffer that gets written — the group-commit batch, or the recycled
+// spare in fsync-per-record mode — so a record is encoded once and copied
+// never.
+func (j *Journal) commit(recs []JournalRecord) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return j.err
+		return 0, j.err
 	}
-	j.appends += count
+	j.appends += int64(len(recs))
 	if j.each {
+		b := j.spare[:0]
+		for i := range recs {
+			b = appendRecordLine(b, &recs[i])
+		}
+		j.spare = b
 		j.syncs++
 		if _, err := j.f.Write(b); err != nil {
-			return fmt.Errorf("node: journal append: %w", err)
+			return len(b), fmt.Errorf("node: journal append: %w", err)
 		}
 		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("node: journal sync: %w", err)
+			return len(b), fmt.Errorf("node: journal sync: %w", err)
 		}
-		return nil
+		return len(b), nil
 	}
 
-	j.buf = append(j.buf, b...)
+	n := len(j.buf)
+	for i := range recs {
+		j.buf = appendRecordLine(j.buf, &recs[i])
+	}
+	n = len(j.buf) - n
 	mine := j.batch
 	for j.committed < mine && j.err == nil {
 		if !j.leader {
@@ -277,7 +279,61 @@ func (j *Journal) commit(b []byte, count int64) error {
 	// A sticky error is returned even to appenders whose own batch committed
 	// just before the journal died: over-reporting failure only aborts the
 	// run early, never violates the durability contract.
-	return j.err
+	return n, j.err
+}
+
+// appendRecordLine appends rec's JSONL line to dst: exactly the bytes of
+// json.Marshal(rec) plus '\n' — the same field order and omitempty rules —
+// built without reflection, since encoding dominated the spill path.
+func appendRecordLine(dst []byte, rec *JournalRecord) []byte {
+	dst = append(dst, `{"kind":`...)
+	dst = appendJSONString(dst, rec.Kind)
+	dst = append(dst, `,"proc":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Proc), 10)
+	if rec.Peer != 0 {
+		dst = append(dst, `,"peer":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Peer), 10)
+	}
+	if rec.Seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, rec.Seq, 10)
+	}
+	if len(rec.Stamp) != 0 {
+		dst = append(dst, `,"stamp":[`...)
+		for i, x := range rec.Stamp {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(x), 10)
+		}
+		dst = append(dst, ']')
+	}
+	if rec.Note != "" {
+		dst = append(dst, `,"note":`...)
+		dst = appendJSONString(dst, rec.Note)
+	}
+	if rec.Node != 0 {
+		dst = append(dst, `,"node":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Node), 10)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as a JSON string literal. Printable ASCII
+// other than the quote, the backslash and the HTML-sensitive <>& is copied
+// as is; any string holding something else (control bytes, non-ASCII,
+// invalid UTF-8) takes encoding/json's own escaping, so the output always
+// matches json.Marshal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Restarts counts this journal's restart markers — how many times the node
