@@ -78,12 +78,13 @@ chaos-test:
 # internal/sync estimator/backoff/health units, the full async chaos matrix
 # (every topology family × 8 seeds × loss to 20% × the three jitter
 # profiles, stamps byte-equal to the sequential oracle), suspicion-driven
-# exclusion with its property-level check, the async cluster rollup, and
-# the async kill -9 e2e over real OS processes.
+# exclusion with its property-level check, the async cluster rollup, the
+# cold-start re-arm of a send parked before the first RTT sample, and the
+# async kill -9 e2e over real OS processes.
 async-test:
 	$(GO) test -race ./internal/sync
 	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -run 'TestAsync|TestPropAsync' -timeout 30m ./internal/fault
-	$(GO) test -race -run 'TestAsyncClusterRollup' ./internal/node
+	$(GO) test -race -run 'TestAsyncClusterRollup|TestAsyncColdStart' ./internal/node
 	$(GO) test -race -run 'TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
 
 # Load/collector gate: the open-loop driver and the sharded collector tree
@@ -107,6 +108,8 @@ load-test:
 bench:
 	$(GO) run ./cmd/tsbench -seed 42 -out .
 
+# Every Benchmark* in the module with allocation counts, the fault
+# injector's batched egress path (BenchmarkFaultConnWrite) included.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

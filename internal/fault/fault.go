@@ -267,10 +267,12 @@ type faultConn struct {
 	peer atomic.Int64 // -1 until known
 
 	wmu       sync.Mutex
-	wbuf      []byte
+	wbuf      []byte // an incomplete trailing frame awaiting the next Write
+	out       []byte // survivors of the current Write, in wire order
 	role      byte
 	roleKnown bool
 	exempt    bool // egress stopped parsing as frames; bytes pass through raw
+	reset     bool // a reset fate closed the inner conn; write through
 
 	rmu       sync.Mutex
 	rbuf      []byte
@@ -328,11 +330,14 @@ func (c *faultConn) sniff(b []byte) {
 // link schedule to each complete one. One Write may carry many frames — the
 // coalescing writer batches a burst of SYNs/ACKs into a single transport
 // write — and each gets its own fate draw, so fault semantics stay
-// per-frame, not per-write. A Write may equally end mid-frame (a bufio
-// buffer spilling); the fragment waits in wbuf for the rest. It always
-// reports the full input as written — a dropped frame is "sent" as far as
-// the caller can tell, which is exactly the loss model the recovery
-// protocol is built for.
+// per-frame, not per-write. The survivors are gathered in order into one
+// buffer and reach the inner connection in a single write, so the batch the
+// writer coalesced stays whole; the buffer is written early only where the
+// frame-by-frame order is observable (see applyFate and frame). A Write may
+// equally end mid-frame (a bufio buffer spilling); the fragment waits in
+// wbuf for the rest. It always reports the full input as written — a
+// dropped frame is "sent" as far as the caller can tell, which is exactly
+// the loss model the recovery protocol is built for.
 func (c *faultConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -342,9 +347,18 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 		return len(p), nil
 	}
-	c.wbuf = append(c.wbuf, p...)
-	for len(c.wbuf) > 0 {
-		size, n := binary.Uvarint(c.wbuf)
+	// Frames are parsed in place: straight from p unless a fragment of an
+	// earlier Write is waiting to be completed.
+	buf := p
+	if len(c.wbuf) > 0 {
+		c.wbuf = append(c.wbuf, p...)
+		buf = c.wbuf
+	}
+	c.out = c.out[:0]
+	var err error
+	off := 0
+	for err == nil && off < len(buf) {
+		size, n := binary.Uvarint(buf[off:])
 		if n == 0 {
 			break // incomplete header; wait for more bytes
 		}
@@ -353,48 +367,60 @@ func (c *faultConn) Write(p []byte) (int, error) {
 			// would otherwise stall (and buffer) this stream forever. Stop
 			// injecting and pass everything through raw.
 			c.exempt = true
-			buffered := c.wbuf
-			c.wbuf = nil
-			if _, err := c.Conn.Write(buffered); err != nil {
-				return 0, err
-			}
-			return len(p), nil
+			c.out = append(c.out, buf[off:]...)
+			off = len(buf)
+			break
 		}
-		if uint64(len(c.wbuf)-n) < size {
+		if uint64(len(buf)-off-n) < size {
 			break // incomplete payload; wait for more bytes
 		}
-		total := n + int(size)
-		frame := append([]byte(nil), c.wbuf[:total]...)
-		c.wbuf = c.wbuf[total:]
-		if err := c.writeFrame(frame); err != nil {
-			return 0, err
+		end := off + n + int(size)
+		err = c.frame(buf[off:end])
+		off = end
+		if err == nil && c.reset {
+			// The link was reset under this stream: write through, so the
+			// failure surfaces on the same frame as it would frame by frame.
+			err = c.flush()
 		}
+	}
+	c.wbuf = append(c.wbuf[:0], buf[off:]...)
+	if err == nil {
+		err = c.flush()
+	}
+	if err != nil {
+		return 0, err
 	}
 	return len(p), nil
 }
 
-// writeFrame applies the schedule to one complete egress frame. Called
-// with wmu held.
-func (c *faultConn) writeFrame(frame []byte) error {
-	kind, ok := frameKind(frame)
-	if !ok {
-		_, err := c.Conn.Write(frame)
-		return err
+// flush writes the gathered survivors to the inner connection. Called with
+// wmu held.
+func (c *faultConn) flush() error {
+	if len(c.out) == 0 {
+		return nil
 	}
-	if !c.roleKnown {
-		if kind == wire.KindHello {
-			// The first egress frame is always our HELLO; its role byte
-			// says whether this stream ever carries injectable traffic.
-			c.roleKnown = true
-			c.role = roleOf(frame)
-		}
-		_, err := c.Conn.Write(frame)
-		return err
+	_, err := c.Conn.Write(c.out)
+	c.out = c.out[:0]
+	return err
+}
+
+// frame applies the schedule to one complete egress frame, appending what
+// survives to c.out. The frame aliases the caller's buffer, so anything
+// kept past this Write is copied. Called with wmu held.
+func (c *faultConn) frame(frame []byte) error {
+	kind, ok := frameKind(frame)
+	if ok && !c.roleKnown && kind == wire.KindHello {
+		// The first egress frame is always our HELLO; its role byte says
+		// whether this stream ever carries injectable traffic.
+		c.roleKnown = true
+		c.role = roleOf(frame)
+		c.out = append(c.out, frame...)
+		return nil
 	}
 	peer := int(c.peer.Load())
-	if c.role != wire.RoleData || peer < 0 || (kind != wire.KindSyn && kind != wire.KindAck) {
-		_, err := c.Conn.Write(frame)
-		return err
+	if !ok || !c.roleKnown || c.role != wire.RoleData || peer < 0 || (kind != wire.KindSyn && kind != wire.KindAck) {
+		c.out = append(c.out, frame...)
+		return nil
 	}
 
 	t := c.t
@@ -404,71 +430,82 @@ func (c *faultConn) writeFrame(frame []byte) error {
 	// a failed write (the peer's stream died under it) would consume the
 	// schedule without ever firing it.
 	crash := t.noteSent()
+	var err error
 	if lk.rule == nil {
-		_, err := c.Conn.Write(frame)
-		if crash && t.CrashFn != nil {
-			t.CrashFn()
+		c.out = append(c.out, frame...)
+	} else {
+		lk.mu.Lock()
+		reset, ferr := c.applyFate(lk, frame)
+		lk.mu.Unlock()
+		err = ferr
+		if err == nil && reset {
+			// Everything up to and including the reset frame is delivered
+			// before the connection closes.
+			if err = c.flush(); err == nil {
+				t.resets.Add(1)
+				c.reset = true
+				_ = c.Conn.Close()
+			}
 		}
-		return err
 	}
+	if crash && t.CrashFn != nil {
+		if err == nil {
+			err = c.flush() // the crash frame is on the wire before the crash
+		}
+		t.CrashFn()
+	}
+	return err
+}
 
-	lk.mu.Lock()
+// applyFate draws one injectable frame's fates and appends what leaves now
+// — the frame, its duplicate, a held frame it overtakes — to c.out in wire
+// order. It reports whether the frame carries a reset. Called with wmu and
+// lk.mu held.
+func (c *faultConn) applyFate(lk *link, frame []byte) (reset bool, err error) {
+	t := c.t
 	f := lk.decide()
 	if f.delay > 0 {
 		// Stalling under the link lock stalls everything queued behind this
-		// frame on the connection — the intended head-of-line delay.
+		// frame on the connection — the intended head-of-line delay. The
+		// frames ahead of it leave first: they were not delayed.
 		t.delayed.Add(1)
+		err = c.flush()
 		time.Sleep(f.delay)
 	}
-	var out [][]byte
-	if f.drop {
+	switch {
+	case f.drop:
 		t.dropped.Add(1)
-	} else if lk.held != nil {
+	case lk.held != nil:
 		// A frame is waiting to be overtaken: this one goes first.
-		out = append(out, frame)
+		c.out = append(c.out, frame...)
 		if f.dup {
 			t.duplicated.Add(1)
-			out = append(out, frame)
+			c.out = append(c.out, frame...)
 		}
-		out = append(out, lk.held)
+		c.out = append(c.out, lk.held...)
 		lk.held = nil
 		if lk.timer != nil {
 			lk.timer.Stop()
 			lk.timer = nil
 		}
-	} else if f.reorder {
+	case f.reorder:
 		t.reordered.Add(1)
-		lk.held = frame
+		lk.held = append([]byte(nil), frame...)
 		lk.heldC = c.Conn
 		lk.timer = time.AfterFunc(reorderFlush, func() { lk.flushHeld() })
 		if f.dup {
 			// The duplicate travels now; the original arrives late.
 			t.duplicated.Add(1)
-			out = append(out, frame)
+			c.out = append(c.out, frame...)
 		}
-	} else {
-		out = append(out, frame)
+	default:
+		c.out = append(c.out, frame...)
 		if f.dup {
 			t.duplicated.Add(1)
-			out = append(out, frame)
+			c.out = append(c.out, frame...)
 		}
 	}
-	var werr error
-	for _, b := range out {
-		if _, err := c.Conn.Write(b); err != nil {
-			werr = err
-			break
-		}
-	}
-	lk.mu.Unlock()
-	if werr == nil && f.reset {
-		t.resets.Add(1)
-		_ = c.Conn.Close()
-	}
-	if crash && t.CrashFn != nil {
-		t.CrashFn()
-	}
-	return werr
+	return f.reset, err
 }
 
 // flushHeld emits a reorder-held frame that was never overtaken (the link

@@ -145,9 +145,13 @@ func (p *Process) Send(q int) (vector.V, error) {
 	// far side makes this idempotent) and the exclusion broadcast (the
 	// partner's node was removed from the run). In async mode the fixed
 	// min/max backoff is replaced by the synchronizer's adaptive interval:
-	// the peer's Jacobson RTO, doubled per attempt and jittered.
+	// the peer's Jacobson RTO, doubled per attempt and jittered. Until the
+	// peer's estimator has a sample that interval comes from the configured
+	// guess, so the send also waits on the estimator's priming broadcast and
+	// restarts its timer from the first measured RTO (RFC 6298 §5.3).
 	var retryC <-chan time.Time
 	var exclC chan struct{}
+	var primedC <-chan struct{}
 	var backoff time.Duration
 	var peer *tssync.Peer
 	var attempts int
@@ -157,6 +161,9 @@ func (p *Process) Send(q int) (vector.V, error) {
 			peer = n.coord.Peer(target)
 		}
 		if peer != nil {
+			// Taken before the interval is computed: a sample landing in
+			// between still closes the channel and corrects the timer.
+			primedC = peer.Estimator().Unprimed()
 			sendWall = time.Now()
 			lastWall = sendWall
 			backoff = peer.RetryIn(0)
@@ -233,6 +240,12 @@ func (p *Process) Send(q int) (vector.V, error) {
 				return nil, fmt.Errorf("node: process %d -> %d: %w", p.id, q, ErrPeerLost)
 			}
 			exclC = n.exclusionCh() // some other peer was excluded; re-arm
+		case <-primedC:
+			// Another exchange with this peer primed the estimator: the
+			// timer, armed from the guess, now runs from the measured RTO,
+			// less the time already waited (a non-positive rest fires now).
+			primedC = nil
+			rearm(p.retry, peer.RetryIn(attempts)-time.Since(lastWall))
 		case <-retryC:
 			if n.isExcluded(target) {
 				n.clearWaiter(p.id)

@@ -19,10 +19,12 @@ const (
 // Safe for concurrent use — every local process mid-rendezvous with the
 // peer shares one estimator, so they all benefit from each other's samples.
 type Estimator struct {
-	mu       stdsync.Mutex
-	srtt     time.Duration
-	rttvar   time.Duration
-	primed   bool // first real sample replaces the configured initial guess
+	mu     stdsync.Mutex
+	srtt   time.Duration
+	rttvar time.Duration
+	// unprimed is closed (a broadcast) and cleared by the first sample,
+	// which replaces the configured initial guess outright.
+	unprimed chan struct{}
 	min, max time.Duration
 	samples  int64
 	spurious int64
@@ -33,7 +35,17 @@ type Estimator struct {
 // smoothed RTT with a variance of half itself (the TCP convention for a
 // connection with no samples yet).
 func NewEstimator(init, min, max time.Duration) *Estimator {
-	return &Estimator{srtt: init, rttvar: init / 2, min: min, max: max}
+	return &Estimator{srtt: init, rttvar: init / 2, min: min, max: max, unprimed: make(chan struct{})}
+}
+
+// Unprimed returns a channel that the first sample closes, or nil once the
+// estimator is primed. A retransmission timer armed from the initial guess
+// selects on it to restart from the first measured RTO (RFC 6298 §5.3);
+// after priming the nil channel makes that select case free.
+func (e *Estimator) Unprimed() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.unprimed
 }
 
 // Observe feeds one RTT sample. The first sample replaces the initial
@@ -46,8 +58,9 @@ func (e *Estimator) Observe(sample time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.samples++
-	if !e.primed {
-		e.primed = true
+	if e.unprimed != nil {
+		close(e.unprimed)
+		e.unprimed = nil
 		e.srtt = sample
 		e.rttvar = sample / 2
 		return

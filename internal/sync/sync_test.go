@@ -20,6 +20,35 @@ func TestEstimatorFirstSampleReplacesGuess(t *testing.T) {
 	}
 }
 
+// TestEstimatorUnprimedClosedByFirstSample pins the priming broadcast a
+// parked retransmission timer waits on: open until the first sample, closed
+// by it, and nil (a select case that never fires) from then on.
+func TestEstimatorUnprimedClosedByFirstSample(t *testing.T) {
+	e := NewEstimator(50*time.Millisecond, time.Millisecond, time.Second)
+	ch := e.Unprimed()
+	if ch == nil {
+		t.Fatal("Unprimed() = nil before any sample")
+	}
+	select {
+	case <-ch:
+		t.Fatal("Unprimed() channel closed before any sample")
+	default:
+	}
+	e.Observe(8 * time.Millisecond)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("first sample did not close the Unprimed() channel")
+	}
+	if got := e.Unprimed(); got != nil {
+		t.Fatal("Unprimed() not nil after the first sample")
+	}
+	e.Observe(9 * time.Millisecond) // a later sample must not close it again
+	if got := e.Unprimed(); got != nil {
+		t.Fatal("Unprimed() not nil after a second sample")
+	}
+}
+
 func TestEstimatorJacobsonUpdate(t *testing.T) {
 	e := NewEstimator(0, time.Millisecond, time.Second)
 	e.Observe(80 * time.Millisecond) // primes: srtt=80ms, rttvar=40ms
