@@ -45,9 +45,11 @@ race:
 stress:
 	$(GO) test -race -count=5 ./cmd/tsnode ./internal/fault ./internal/node
 
-# Networking subsystem gate: the node runtime under the race detector plus
-# the tsnode integration test (real OS processes over localhost TCP).
+# Networking subsystem gate: the node runtime under the race detector (the
+# stamp alias-safety test, run explicitly and verbosely first, included)
+# plus the tsnode integration test (real OS processes over localhost TCP).
 net-test:
+	$(GO) test -race -run 'TestStampAliasSafety' -v ./internal/node
 	$(GO) test -race ./internal/wire ./internal/node
 	$(GO) test -race -run 'TestRunInProcessCluster|TestE2E' -v ./cmd/tsnode
 
@@ -79,12 +81,13 @@ chaos-test:
 # (every topology family × 8 seeds × loss to 20% × the three jitter
 # profiles, stamps byte-equal to the sequential oracle), suspicion-driven
 # exclusion with its property-level check, the async cluster rollup, the
-# cold-start re-arm of a send parked before the first RTT sample, and the
-# async kill -9 e2e over real OS processes.
+# cold-start re-arm of a send parked before the first RTT sample, stamp
+# alias safety under 5% loss with a link reset, and the async kill -9 e2e
+# over real OS processes.
 async-test:
 	$(GO) test -race ./internal/sync
 	SYNCSTAMP_ASYNC_MATRIX=full $(GO) test -race -run 'TestAsync|TestPropAsync' -timeout 30m ./internal/fault
-	$(GO) test -race -run 'TestAsyncClusterRollup|TestAsyncColdStart' ./internal/node
+	$(GO) test -race -run 'TestAsyncClusterRollup|TestAsyncColdStart|TestStampAliasSafety' ./internal/node
 	$(GO) test -race -run 'TestE2EAsyncKillNineRecovers' -v ./cmd/tsnode
 
 # Load/collector gate: the open-loop driver and the sharded collector tree

@@ -74,6 +74,23 @@ func (cn *chaosNode) wait(t *testing.T, timeout time.Duration) int {
 	}
 }
 
+// awaitCommitted polls a node's journal until it holds at least n
+// committed rendezvous, so a SIGKILL that follows lands mid-computation
+// however fast the host runs the mesh. A fixed sleep can outlast the whole
+// run: the kill then hits a node that already reported and is merely
+// exiting, and its restart dials peers that are gone until the test times
+// out. It gives up after timeout; the caller's own checks take over.
+func awaitCommitted(path string, n int, timeout time.Duration) {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		b, _ := os.ReadFile(path)
+		if bytes.Count(b, []byte(`"kind":"send"`))+bytes.Count(b, []byte(`"kind":"recv"`)) >= n {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // chaosArgs builds the common flag set for one node of a chaos mesh.
 func chaosArgs(i int, addrs []string, trace, journal, plan, retransmitMin string) []string {
 	args := []string{
@@ -219,8 +236,9 @@ func TestE2EAsyncKillNineRecovers(t *testing.T) {
 	for i := range journals {
 		journals[i] = filepath.Join(dir, fmt.Sprintf("node%d.journal", i))
 	}
-	// The jitter stretches the run past the kill point; -async replaces the
-	// fixed backoff with the per-peer adaptive RTO that has to ride it out.
+	// The jitter stretches the run, so the kill — once node 1 has committed
+	// half its rendezvous — lands mid-computation; -async replaces the fixed
+	// backoff with the per-peer adaptive RTO that has to ride it out.
 	asyncArgs := func(i int) []string {
 		journal := ""
 		if i != 0 {
@@ -240,7 +258,7 @@ func TestE2EAsyncKillNineRecovers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		time.Sleep(400 * time.Millisecond)
+		awaitCommitted(journals[1], chaosMessages/2, time.Minute)
 		done := make(chan error, 1)
 		go func() { done <- n1.cmd.Wait() }()
 		select {
@@ -340,8 +358,9 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 				journals[i] = filepath.Join(dir, fmt.Sprintf("node%d.journal", i))
 				flights[i] = filepath.Join(dir, fmt.Sprintf("node%d.flight.jsonl", i))
 			}
-			// Delays stretch the run so the SIGKILL lands mid-computation;
-			// node 2 additionally crashes itself every 10 egress frames.
+			// Delays stretch the run, so the SIGKILL — once node 1 has
+			// committed half its rendezvous — lands mid-computation; node 2
+			// additionally crashes itself every 10 egress frames.
 			// That threshold sits below every schedule's minimum: each of
 			// process 2's 12 rendezvous needs at least one SYN/ACK from
 			// node 2 to reach the transport (node 1 cannot merge a SYN it
@@ -372,14 +391,14 @@ func TestE2EKillNineRecoverySoak(t *testing.T) {
 			n1 := startChaosNode(t, bin, journalArgs(1))
 			n2 := startChaosNode(t, bin, journalArgs(2))
 
-			// Kill node 1 the hard way once the mesh is busy, then restart it
-			// from its journal.
+			// Kill node 1 the hard way halfway through its rendezvous, then
+			// restart it from its journal.
 			var n1restarts int
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				time.Sleep(600 * time.Millisecond)
+				awaitCommitted(journals[1], chaosMessages/2, time.Minute)
 				done := make(chan error, 1)
 				go func() { done <- n1.cmd.Wait() }()
 				select {

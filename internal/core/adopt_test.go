@@ -65,3 +65,43 @@ func TestAdoptRejections(t *testing.T) {
 		t.Fatal("accepted a stamp over an uncovered channel")
 	}
 }
+
+// TestAdoptCopiesInPlace pins the in-place Adopt: the stamp is copied into
+// the clock's own vector, so later clock activity never rewrites the
+// adopted (and logged) stamp, and a warm Adopt allocates nothing.
+// AppendCurrent into a buffer with room allocates nothing either.
+func TestAdoptCopiesInPlace(t *testing.T) {
+	dec := decomp.Best(graph.Path(3))
+	s, r := NewClock(0, dec), NewClock(1, dec)
+	stamp, err := r.Merge(s.Current(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(stamp, 1); err != nil {
+		t.Fatal(err)
+	}
+	kept := stamp.Clone()
+	if _, err := s.Merge(vector.New(dec.D()), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !vector.Eq(stamp, kept) {
+		t.Fatalf("clock activity after Adopt rewrote the adopted stamp: %v, was %v", stamp, kept)
+	}
+	next := s.Current()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Adopt(next, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Adopt allocates %.1f objects, want 0", allocs)
+	}
+	buf := make(vector.V, 0, dec.D())
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendCurrent(buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("AppendCurrent into a buffer with room allocates %.1f objects, want 0", allocs)
+	}
+	if !vector.Eq(buf, s.Current()) {
+		t.Fatalf("AppendCurrent gave %v, clock is %v", buf, s.Current())
+	}
+}

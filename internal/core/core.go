@@ -52,6 +52,11 @@ func (c *Clock) Proc() int { return c.proc }
 // (line (4)).
 func (c *Clock) Current() vector.V { return c.v.Clone() }
 
+// AppendCurrent appends the local vector's components to dst and returns
+// the extended slice: Current without the allocation, for a caller that
+// keeps a reusable buffer (internal/node builds each remote SYN from one).
+func (c *Clock) AppendCurrent(dst vector.V) vector.V { return append(dst, c.v...) }
+
 // Rebase switches the clock to a grown decomposition (same d; every channel
 // of the current decomposition keeps its group — see decomp.Extends). The
 // local vector is untouched, so all earlier timestamps stay valid. Rebase
@@ -85,7 +90,9 @@ func (c *Clock) Merge(remote vector.V, peer int) (vector.V, error) {
 // equivalent to the symmetric merge of Figure 5: the stamp is
 // max(v_self, v_peer) with the channel's component incremented, so it
 // dominates the local vector componentwise — Adopt rejects a stamp that
-// does not, since that indicates a protocol error or a corrupt frame.
+// does not, since that indicates a protocol error or a corrupt frame. The
+// stamp is copied into the clock's own vector, so Adopt allocates nothing
+// and the caller keeps sole ownership of stamp.
 func (c *Clock) Adopt(stamp vector.V, peer int) error {
 	if _, ok := c.dec.GroupOf(c.proc, peer); !ok {
 		return fmt.Errorf("core: channel (%d,%d) not covered by the edge decomposition", c.proc, peer)
@@ -96,7 +103,7 @@ func (c *Clock) Adopt(stamp vector.V, peer int) error {
 	if !vector.Leq(c.v, stamp) {
 		return fmt.Errorf("core: stamp %v does not dominate local vector %v", stamp, c.v)
 	}
-	c.v = stamp.Clone()
+	copy(c.v, stamp)
 	return nil
 }
 

@@ -61,3 +61,10 @@ type Clock struct {
 func (c *Clock) Current() vector.V {
 	return c.v // want: accessor returns internal vector
 }
+
+// MergeIntoCaller hands its result back through the loaned vector: copy
+// overwrites the caller's clock as surely as an element write.
+func MergeIntoCaller(v, w vector.V) {
+	copy(v, w)     // want: mutated by copy()
+	copy(v[1:], w) // want: mutated by copy() through a reslice
+}

@@ -60,3 +60,12 @@ func FreshLocal(d int) vector.V {
 	v[0] = 1
 	return v
 }
+
+// MergeIntoOwned copies the loan into a vector it owns and returns it;
+// copying out of a borrowed vector is a read.
+func MergeIntoOwned(v, w vector.V) vector.V {
+	u := vector.New(len(v))
+	copy(u, v)
+	u.Max(w)
+	return u
+}

@@ -8,7 +8,8 @@ import (
 // VectorAlias enforces the ownership discipline around vector.V values that
 // Theorem 4 silently relies on: a vector received as a function parameter is
 // on loan from its owner (the peer's clock, a stamp slice, ...), so the
-// callee must neither mutate it nor retain an alias past the call. Storing
+// callee must neither mutate it (element writes, ++, Max, copy into it)
+// nor retain an alias past the call. Storing
 // it into a field, slice, map, or global without Clone() lets a later Max()
 // or increment rewrite an already-issued timestamp; mutating it corrupts the
 // caller's clock. Symmetrically, an accessor must not return its receiver's
@@ -116,14 +117,26 @@ func checkVectorAliasFunc(pass *Pass, decl *ast.FuncDecl, ft *ast.FuncType, body
 					}
 				}
 			case *ast.Ident:
+				if _, isBuiltin := pass.ObjectOf(fun).(*types.Builtin); !isBuiltin {
+					break
+				}
 				// append(s, p) retains the alias when s outlives the call.
 				if fun.Name == "append" && len(st.Args) >= 2 {
-					if _, isBuiltin := pass.ObjectOf(fun).(*types.Builtin); isBuiltin {
-						for _, arg := range st.Args[1:] {
-							if v, ok := borrowedExpr(arg); ok {
-								pass.Reportf(arg.Pos(), "vector parameter %s appended to a slice without Clone()", v.Name())
-							}
+					for _, arg := range st.Args[1:] {
+						if v, ok := borrowedExpr(arg); ok {
+							pass.Reportf(arg.Pos(), "vector parameter %s appended to a slice without Clone()", v.Name())
 						}
+					}
+				}
+				// copy(p, src) — or into a reslice of p — overwrites the
+				// caller's vector.
+				if fun.Name == "copy" && len(st.Args) == 2 {
+					dst := unparen(st.Args[0])
+					if sl, ok := dst.(*ast.SliceExpr); ok {
+						dst = sl.X
+					}
+					if v, ok := borrowedExpr(dst); ok {
+						pass.Reportf(st.Pos(), "vector parameter %s mutated by copy(); Clone() it first", v.Name())
 					}
 				}
 			}

@@ -98,11 +98,12 @@ type Config struct {
 	// /debug/flight).
 	FlightDump string
 	// NoCoalesce disables frame coalescing on data connections: every frame
-	// is flushed to the transport individually, one write per frame, as the
+	// is handed to the transport individually, one write per frame, as the
 	// pre-batching runtime did. It is the baseline arm of cmd/tsbench and a
 	// debugging aid; the default (false) lets concurrent senders share
-	// transport writes: each connection's writer goroutine encodes whatever
-	// is queued and flushes once the queue is empty.
+	// transport writes: senders encode their frames into the connection's
+	// pending buffer, and its writer goroutine writes everything pending at
+	// once.
 	NoCoalesce bool
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and
@@ -131,11 +132,11 @@ type reply struct {
 	vec vector.V
 }
 
-// peerConn is one established data connection to a peer node. Senders
-// append frames to a mutex-guarded queue and return at once; the
-// connection's writer goroutine owns the encoder and the transport writes
-// (see writeLoop). The decoder is owned by the connection's reader
-// goroutine.
+// peerConn is one established data connection to a peer node. A sender
+// encodes its frame straight into the connection's pending byte buffer and
+// returns at once; the connection's writer goroutine swaps that buffer out
+// and hands it to the transport (see writeLoop). The decoder is owned by
+// the connection's reader goroutine.
 type peerConn struct {
 	n     *Node
 	node  int
@@ -143,48 +144,47 @@ type peerConn struct {
 	c     net.Conn
 	dec   *wire.Decoder
 
-	// mu guards the send queue and the writer's lifecycle. A sender wakes
-	// the writer only when the queue goes from empty to non-empty, under
-	// mu; shut closes wake under the same lock, so a signal never races
-	// the close.
+	// mu guards the encoder (its delta baselines and accounting), the
+	// pending bytes and the writer's lifecycle. A sender wakes the writer
+	// only when pend goes from empty to non-empty, under mu; shut closes
+	// wake under the same lock, so a signal never races the close.
 	mu    sync.Mutex
-	queue []outFrame
+	enc   *wire.Encoder
+	pend  []byte        // encoded frames awaiting the writer
+	marks []flushMark   // write boundaries inside pend, ascending
 	wake  chan struct{} // capacity 1
 	shut  bool          // no further sends; the writer drains and exits
 	err   error         // first write error; sticky, later sends fail fast
 
-	// Owned by the writer goroutine: spare is its drained queue, recycled as
-	// the next one; encMu guards enc against the accounting snapshots; done
-	// is closed when the writer exits.
-	spare []outFrame
-	encMu sync.Mutex
-	enc   *wire.Encoder
-	done  chan struct{}
+	// Owned by the writer goroutine: the buffers it last wrote, handed back
+	// as the next pend and marks; done is closed when the writer exits.
+	out      []byte
+	outMarks []flushMark
+	done     chan struct{}
 }
 
-// outFrame is one queued frame, held by value so a send allocates
-// nothing. flushed is non-nil only for a send that waits for the transport
-// write covering its frame (BYE).
-type outFrame struct {
-	f       wire.Frame
-	flushed chan error
+// flushMark ends a transport write at offset end of the pending bytes: the
+// end of a BYE frame, whose sender waits on done for that write's outcome,
+// or of every frame under NoCoalesce (done nil).
+type flushMark struct {
+	end  int
+	done chan error
 }
 
 // errConnClosed is a send on a connection whose writer has been shut.
 var errConnClosed = errors.New("node: connection closed")
 
 func newPeerConn(n *Node, node, epoch int, c net.Conn, enc *wire.Encoder, dec *wire.Decoder) *peerConn {
-	// The HELLO flushed itself; from here the stream carries data frames,
-	// which coalesce in the writer unless NoCoalesce asks for one write per
-	// frame.
-	enc.SetBatch(!n.cfg.NoCoalesce)
 	return &peerConn{n: n, node: node, epoch: epoch, c: c, enc: enc, dec: dec,
 		wake: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
-// send queues a copy of one frame for the writer and returns without
-// waiting for the transport. It fails only when the connection is already
-// known to be dead: a previous write failed, or the connection was shut.
+// send encodes one frame into the pending buffer for the writer and
+// returns without waiting for the transport. Once it returns nothing
+// queued refers to f or its vector, so the caller may reuse both at once.
+// It fails when f does not encode (nothing is queued then) or the
+// connection is already known to be dead: a previous write failed, or the
+// connection was shut.
 func (pc *peerConn) send(f *wire.Frame) error {
 	return pc.enqueue(f, nil)
 }
@@ -210,12 +210,41 @@ func (pc *peerConn) enqueue(f *wire.Frame, flushed chan error) error {
 	if pc.shut {
 		return errConnClosed
 	}
-	pc.queue = append(pc.queue, outFrame{f: *f, flushed: flushed})
-	if len(pc.queue) == 1 {
+	idle := len(pc.pend) == 0
+	if err := pc.encode(f); err != nil {
+		return err // nothing was queued; the stream is intact
+	}
+	if flushed != nil || pc.n.cfg.NoCoalesce {
+		pc.marks = append(pc.marks, flushMark{end: len(pc.pend), done: flushed})
+	}
+	if idle {
 		select {
 		case pc.wake <- struct{}{}:
 		default: // a wake is already pending
 		}
+	}
+	return nil
+}
+
+// encode appends one frame to the pending buffer and charges the node's
+// live wire-traffic counters (no-ops with obs disabled). Caller holds mu.
+func (pc *peerConn) encode(f *wire.Frame) error {
+	if pc.n.asyncOn() && (f.Kind == wire.KindSyn || f.Kind == wire.KindAck) {
+		// Async mode piggybacks the synchronizer's cumulative safe counter on
+		// every rendezvous frame toward this peer, read when the frame is
+		// queued, so a retransmission carries the value current at its own
+		// queueing.
+		f.Safe = pc.n.safeFor(pc.node)
+	}
+	before := len(pc.pend)
+	buf, err := pc.enc.Append(pc.pend, f)
+	if err != nil {
+		return err
+	}
+	pc.pend = buf
+	if k := int(f.Kind); k < len(pc.n.wireBytes) {
+		pc.n.wireFrames[k].Add(1)
+		pc.n.wireBytes[k].Add(int64(len(buf) - before))
 	}
 	return nil
 }
@@ -246,18 +275,18 @@ func (pc *peerConn) drain() {
 }
 
 // writeLoop is the connection's writer goroutine. Each wake means the
-// queue went non-empty; the writer encodes frames until the queue stays
-// empty and then flushes once, so a burst of concurrent SYNs/ACKs from
-// independent channel pairs shares one transport write while a lone frame
-// still goes out without waiting for company. After shut it writes what
-// was queued before the close and exits.
+// pending buffer went non-empty; the writer takes everything encoded so
+// far and writes it, so a burst of concurrent SYNs/ACKs from independent
+// channel pairs shares one transport write while a lone frame still goes
+// out without waiting for company. After shut it writes what was queued
+// before the close and exits.
 //
 // The one yield per wake is what makes batches form. The channel send that
 // wakes the writer puts it in the waking P's runnext slot, so it runs
 // before the processes readied alongside it and every write would carry
 // exactly one frame (measured on pairs-tcp: 1.00 frames per write and about
 // half the throughput). Yielding once moves the writer behind them; they
-// queue their frames, and the next drain takes them all. With nothing else
+// queue their frames, and the next write takes them all. With nothing else
 // runnable the yield returns at once.
 func (pc *peerConn) writeLoop() {
 	defer pc.n.writersWG.Done()
@@ -266,84 +295,46 @@ func (pc *peerConn) writeLoop() {
 		if !pc.n.cfg.NoCoalesce {
 			runtime.Gosched()
 		}
-		pc.writeQueued()
+		pc.writePending()
 	}
-	pc.writeQueued()
+	pc.writePending()
 }
 
-// writeQueued encodes every queued frame, re-reading the queue until it is
-// empty, then flushes. A frame with a flush waiter is flushed on its own
-// and the waiter told that write's outcome: the peer may hang up the
-// moment it reads a BYE, and the frames queued behind it must not turn a
+// writePending swaps out the pending bytes and writes them: one transport
+// write up to each flush mark — whose waiter learns that write's outcome —
+// and one for the rest. A BYE's mark matters because the peer may hang up
+// the moment it reads the BYE, and frames queued behind it must not turn a
 // delivered BYE into a failed one. After a write error the stream is
-// unusable: queued frames are discarded and every waiter gets the error.
-func (pc *peerConn) writeQueued() {
+// unusable: the remaining bytes are discarded and every waiter gets the
+// error.
+func (pc *peerConn) writePending() {
 	pc.mu.Lock()
-	err := pc.err
+	buf, marks, err := pc.pend, pc.marks, pc.err
+	pc.pend, pc.marks = pc.out[:0], pc.outMarks[:0]
 	pc.mu.Unlock()
-	for {
-		pc.mu.Lock()
-		batch := pc.queue
-		pc.queue = pc.spare[:0]
-		pc.mu.Unlock()
-		if len(batch) == 0 {
-			pc.spare = batch
-			break
+	start := 0
+	for _, m := range marks {
+		if err == nil {
+			_, err = pc.c.Write(buf[start:m.end])
 		}
-		pc.encMu.Lock()
-		for i := range batch {
-			of := &batch[i]
-			if err == nil {
-				err = pc.encode(&of.f)
-			}
-			if of.flushed != nil {
-				if err == nil {
-					err = pc.enc.Flush()
-				}
-				of.flushed <- err // buffered; the waiter is parked on it
-			}
+		start = m.end
+		if m.done != nil {
+			m.done <- err // buffered; the waiter is parked on it
 		}
-		pc.encMu.Unlock()
-		clear(batch) // drop the frames; the slice is reused
-		pc.spare = batch[:0]
 	}
-	if err == nil {
-		pc.encMu.Lock()
-		err = pc.enc.Flush()
-		pc.encMu.Unlock()
+	if err == nil && start < len(buf) {
+		_, err = pc.c.Write(buf[start:])
 	}
+	pc.out, pc.outMarks = buf, marks
 	if err != nil {
 		pc.writeFailed(err)
 	}
 }
 
-// encode writes one queued frame into the encoder's buffer and charges
-// the node's live wire-traffic counters (no-ops with obs disabled). Caller
-// holds encMu.
-func (pc *peerConn) encode(f *wire.Frame) error {
-	if pc.n.asyncOn() && (f.Kind == wire.KindSyn || f.Kind == wire.KindAck) {
-		// Async mode piggybacks the synchronizer's cumulative safe counter on
-		// every rendezvous frame toward this peer, read at encode time so a
-		// queued frame or a retransmission carries the freshest value.
-		f.Safe = pc.n.safeFor(pc.node)
-	}
-	k := int(f.Kind)
-	before := 0
-	if k < len(pc.n.wireBytes) {
-		before = pc.enc.Stats.Bytes[k]
-	}
-	err := pc.enc.Encode(f)
-	if err == nil && k < len(pc.n.wireBytes) {
-		pc.n.wireFrames[k].Add(1)
-		pc.n.wireBytes[k].Add(int64(pc.enc.Stats.Bytes[k] - before))
-	}
-	return err
-}
-
 // writeFailed records the connection's first write error, after which
-// sends fail fast. Fail-stop mode aborts the run, as a failed send always
-// has; recovery mode closes the stream so the reader sees the loss and
-// drives the reconnect.
+// sends fail fast. Fail-stop mode aborts the run, as a failed send
+// always has; recovery mode closes the stream so the reader sees the loss
+// and drives the reconnect.
 func (pc *peerConn) writeFailed(err error) {
 	pc.mu.Lock()
 	first := pc.err == nil
@@ -363,15 +354,15 @@ func (pc *peerConn) writeFailed(err error) {
 
 // overhead snapshots the encoder's piggyback accounting.
 func (pc *peerConn) overhead() core.Overhead {
-	pc.encMu.Lock()
-	defer pc.encMu.Unlock()
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	return pc.enc.Overhead
 }
 
 // stats snapshots the encoder's per-kind frame accounting.
 func (pc *peerConn) stats() wire.Stats {
-	pc.encMu.Lock()
-	defer pc.encMu.Unlock()
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	return pc.enc.Stats
 }
 
@@ -412,6 +403,7 @@ type Node struct {
 	exclCh     chan struct{} // closed+replaced on each exclusion (broadcast)
 
 	mailboxes []chan inbound // indexed by process; nil for remote processes
+	rxSlots   []vector.V     // receive slot per remote sender process; see rxVec
 
 	// Recovery state (rec nil means fail-stop).
 	rec        *RecoveryConfig
@@ -528,6 +520,7 @@ func New(cfg Config, tr Transport) (*Node, error) {
 		recovering: make([]bool, nodes),
 		exclCh:     make(chan struct{}),
 		mailboxes:  make([]chan inbound, cfg.Dec.N()),
+		rxSlots:    make([]vector.V, cfg.Dec.N()),
 		reports:    make(chan *reportConn, nodes),
 		regCh:      make(chan int, nodes),
 		connDone:   make(chan struct{}),
@@ -837,11 +830,16 @@ func (n *Node) connect() error {
 // process's mailbox, ACKs release the parked sender, BYE announces the
 // peer's clean completion. Any protocol violation or transport error while
 // the run is live aborts the node.
+//
+// Every frame is decoded into one scratch frame, so nothing the decoder
+// produces outlives the next read: a delivered SYN's vector is copied into
+// its sender's receive slot (rxVec), and an ACK's into the one clone the
+// sender adopts and logs.
 func (n *Node) readLoop(pc *peerConn) {
 	defer n.readersWG.Done()
+	var f wire.Frame
 	for {
-		f, err := pc.dec.Decode()
-		if err != nil {
+		if err := pc.dec.DecodeInto(&f); err != nil {
 			if n.stopped() {
 				return
 			}
@@ -853,29 +851,36 @@ func (n *Node) readLoop(pc *peerConn) {
 			n.fail(fmt.Errorf("node %d: connection to node %d: %w", n.cfg.Node, pc.node, err))
 			return
 		}
-		n.noteAlive(pc.node, f)
+		n.noteAlive(pc.node, &f)
 		switch f.Kind {
 		case wire.KindSyn:
 			if f.To < 0 || f.To >= len(n.mailboxes) || n.mailboxes[f.To] == nil {
 				n.fail(fmt.Errorf("node %d: SYN from node %d targets process %d, not hosted here", n.cfg.Node, pc.node, f.To))
 				return
 			}
+			if f.From < 0 || f.From >= len(n.cfg.Placement) || n.cfg.Placement[f.From] == n.cfg.Node {
+				n.fail(fmt.Errorf("node %d: SYN from node %d claims sender %d, not a remote process", n.cfg.Node, pc.node, f.From))
+				return
+			}
+			var vec vector.V
 			if n.rec != nil {
-				reack, deliver := n.dedupCheck(f)
-				if !deliver {
-					if reack != nil {
+				var reack bool
+				if vec, reack = n.dedupCheck(&f); vec == nil {
+					if reack {
 						// The merge committed but its ACK was lost: answer
 						// the retransmission from the cache, idempotently.
-						// Inline: send only queues the frame for the
+						// Inline: send only encodes the frame for the
 						// writer, so the read loop, this connection's only
 						// drain, never blocks on it.
-						_ = pc.send(reack)
+						_ = pc.send(&f)
 					}
 					continue
 				}
+			} else {
+				vec = n.rxVec(&f, false)
 			}
 			select {
-			case n.mailboxes[f.To] <- inbound{from: f.From, seq: f.Seq, vec: f.Vec}:
+			case n.mailboxes[f.To] <- inbound{from: f.From, seq: f.Seq, vec: vec}:
 			case <-n.stop:
 				return
 			}
@@ -888,7 +893,7 @@ func (n *Node) readLoop(pc *peerConn) {
 			delivered := false
 			if f.To >= 0 && f.To < len(n.waiters) && n.waiters[f.To] != nil && n.waiterSeq[f.To] == f.Seq {
 				select {
-				case n.waiters[f.To] <- reply{seq: f.Seq, vec: f.Vec}:
+				case n.waiters[f.To] <- reply{seq: f.Seq, vec: f.Vec.Clone()}:
 					delivered = true
 				default: // unreachable: the slot was emptied at registration
 				}
@@ -922,6 +927,34 @@ func (n *Node) readLoop(pc *peerConn) {
 			n.noteDropped()
 		}
 	}
+}
+
+// rxVec returns the vector a delivered SYN carries into its receiver's
+// mailbox. The read loop's scratch frame is overwritten by the next read,
+// so the vector is copied into the receive slot of its sender process —
+// one d-vector per remote sender, allocated on that sender's first SYN —
+// and Merge only borrows it from there.
+//
+// A slot is never overwritten while a mailbox entry still refers to it:
+//   - the sender's next SYN is sent only after the ACK for this one;
+//   - that ACK is queued only after complete has merged this one;
+//   - a retransmitted duplicate is dropped by dedupCheck before any copy
+//     is made.
+//
+// The one exception is a send its sender abandoned with ErrPeerLost under
+// recovery: its successor can arrive while the abandoned request is still
+// parked, so dedupCheck passes busy and that SYN gets a copy of its own.
+func (n *Node) rxVec(f *wire.Frame, busy bool) vector.V {
+	if busy {
+		return f.Vec.Clone()
+	}
+	slot := n.rxSlots[f.From]
+	if slot == nil {
+		slot = vector.New(len(f.Vec))
+		n.rxSlots[f.From] = slot
+	}
+	copy(slot, f.Vec)
+	return slot
 }
 
 // noteDropped records one discarded frame, both for RunInfo and /metrics.

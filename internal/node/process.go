@@ -46,6 +46,13 @@ type Process struct {
 	// interval, likewise reused by every Send (see rearm).
 	timer *time.Timer
 	retry *time.Timer
+	// pre and syn are the remote-send buffers. Send copies the clock into
+	// pre without allocating and builds its SYN in syn; a retransmission
+	// re-encodes the same frame, and pre does not change while Send blocks.
+	// Nothing refers to either once a send has queued: the frame is encoded
+	// into the connection's pending bytes at that moment.
+	pre vector.V
+	syn wire.Frame
 }
 
 // newProcess returns the handle for process id with its reusable send
@@ -101,13 +108,20 @@ func (p *Process) Send(q int) (vector.V, error) {
 	rearm(p.timer, n.cfg.RendezvousTimeout)
 	defer p.timer.Stop()
 
-	pre := p.clock.Current()
+	target := n.cfg.Placement[q]
+	remote := target != n.cfg.Node
+	var pre vector.V
+	if remote {
+		p.pre = p.clock.AppendCurrent(p.pre[:0])
+		pre = p.pre
+	} else {
+		// A local receiver merges straight from the request, possibly after
+		// this send was aborted, so it gets a snapshot of its own.
+		pre = p.clock.Current()
+	}
 	n.obsv.Rendezvous(n.cfg.Node, p.id, q, obs.PhaseSyn, pre)
 	t0 := n.obsv.Now()
 	seq := p.nextSeq()
-	target := n.cfg.Placement[q]
-	remote := target != n.cfg.Node
-	var syn *wire.Frame
 	if !remote {
 		n.dropStale(p.ack)
 		in := inbound{from: p.id, seq: seq, vec: pre, reply: p.ack}
@@ -123,8 +137,8 @@ func (p *Process) Send(q int) (vector.V, error) {
 		n.ins.SendBlockNS.Observe(n.obsv.Now() - t0)
 	} else {
 		n.registerWaiter(p.id, seq, p.ack)
-		syn = &wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
-		if err := n.sendToPeer(target, syn); err != nil {
+		p.syn = wire.Frame{Kind: wire.KindSyn, From: p.id, To: q, Seq: seq, Vec: pre}
+		if err := n.sendToPeer(target, &p.syn); err != nil {
 			if n.rec == nil {
 				n.clearWaiter(p.id)
 				if n.stopped() {
@@ -253,7 +267,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 			}
 			// Best effort: during a reconnect there is no connection to
 			// write to; the next tick retries on the restored session.
-			_ = n.sendToPeer(target, syn)
+			_ = n.sendToPeer(target, &p.syn)
 			n.retransmits.Add(1)
 			n.ins.Retransmits.Add(1)
 			if peer != nil {

@@ -112,6 +112,7 @@ type RecoveryConfig struct {
 // the highest sequence number accepted into a mailbox, and (ackSeq,
 // ackFrom, stamp) caches the last committed merge so a retransmitted SYN
 // whose ACK was lost is answered from the cache instead of merged twice.
+// stamp is the entry's own copy, overwritten in place under n.mu.
 type dedupEntry struct {
 	enq     uint64
 	ackSeq  uint64
@@ -121,22 +122,28 @@ type dedupEntry struct {
 
 // dedupCheck classifies an incoming SYN: deliver it, re-ACK it from the
 // merge cache (duplicate whose ACK was lost), or silently drop it
-// (duplicate still parked in a mailbox). Returns the frame to send back,
-// if any, and whether to deliver.
-func (n *Node) dedupCheck(f *wire.Frame) (reack *wire.Frame, deliver bool) {
+// (duplicate still parked in a mailbox). A SYN to deliver gets its mailbox
+// vector here, under the lock that orders it after every earlier merge
+// from its sender (see rxVec). A re-ACK is written over f itself, the read
+// loop's scratch frame, so the cached stamp is copied out under the lock
+// and the caller sends f.
+func (n *Node) dedupCheck(f *wire.Frame) (vec vector.V, reack bool) {
 	n.mu.Lock()
 	e := &n.dedup[f.From]
-	deliver = f.Seq > e.enq
-	if deliver {
+	if f.Seq > e.enq {
+		// An earlier delivery that is still unmerged was abandoned by its
+		// sender (ErrPeerLost) and may sit in a mailbox holding the slot.
+		vec = n.rxVec(f, e.enq > e.ackSeq)
 		e.enq = f.Seq
 	} else if f.Seq == e.ackSeq && e.stamp != nil {
-		reack = &wire.Frame{Kind: wire.KindAck, From: e.ackFrom, To: f.From, Seq: e.ackSeq, Vec: e.stamp}
+		*f = wire.Frame{Kind: wire.KindAck, From: e.ackFrom, To: f.From, Seq: e.ackSeq, Vec: append(f.Vec[:0], e.stamp...)}
+		reack = true
 	}
 	n.mu.Unlock()
-	if !deliver {
+	if vec == nil {
 		n.noteDedup()
 	}
-	return reack, deliver
+	return vec, reack
 }
 
 // noteMerged caches a committed merge for re-ACKing duplicates.
@@ -145,7 +152,10 @@ func (n *Node) noteMerged(from int, seq uint64, by int, stamp vector.V) {
 	e := &n.dedup[from]
 	e.ackSeq = seq
 	e.ackFrom = by
-	e.stamp = stamp.Clone()
+	if e.stamp == nil {
+		e.stamp = vector.New(len(stamp))
+	}
+	copy(e.stamp, stamp)
 	if seq > e.enq {
 		e.enq = seq
 	}

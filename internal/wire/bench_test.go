@@ -95,17 +95,25 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsPinned pins the steady-state decode path at its designed
-// budget: one Frame and one vector per SYN/ACK, nothing else. The baseline
-// is a separate array updated in place, so delta decoding allocates no
-// scratch.
+// TestDecodeAllocsPinned pins the steady-state decode paths at their
+// designed budgets. Decode hands out a fresh Frame and vector per SYN/ACK,
+// nothing else; DecodeInto a reused frame allocates nothing at all, for
+// SYNs and ACKs alike — the baseline is a separate array updated in place
+// and the frame's vector array is overwritten.
 func TestDecodeAllocsPinned(t *testing.T) {
-	const frames = 256
+	const frames = 512
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, 16)
 	enc.SetBatch(true)
 	for i := 0; i < frames; i++ {
-		if err := enc.Encode(synFrame(16, uint64(i+1))); err != nil {
+		syn := synFrame(16, uint64(i+1))
+		if err := enc.Encode(syn); err != nil {
+			t.Fatal(err)
+		}
+		// The matching ACK: the merged stamp, back on the reverse pair.
+		ack := &Frame{Kind: KindAck, From: 1, To: 0, Seq: syn.Seq, Vec: syn.Vec.Clone()}
+		ack.Vec[2]++
+		if err := enc.Encode(ack); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +121,7 @@ func TestDecodeAllocsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()), 16)
-	// Warm up: baseline and payload buffer allocate on the first frames.
+	// Warm up: baselines and payload buffer allocate on the first frames.
 	for i := 0; i < 8; i++ {
 		if _, err := dec.Decode(); err != nil {
 			t.Fatal(err)
@@ -125,6 +133,26 @@ func TestDecodeAllocsPinned(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("warm SYN decode allocates %.1f objects per frame, want <= 2 (Frame + vector)", allocs)
+		t.Fatalf("warm SYN/ACK Decode allocates %.1f objects per frame, want <= 2 (Frame + vector)", allocs)
+	}
+	var f Frame
+	if err := dec.DecodeInto(&f); err != nil { // sizes f.Vec
+		t.Fatal(err)
+	}
+	for _, kind := range []Kind{KindSyn, KindAck} {
+		allocs := testing.AllocsPerRun(100, func() {
+			// Step past the other kind so every measured decode is kind.
+			for {
+				if err := dec.DecodeInto(&f); err != nil {
+					t.Fatal(err)
+				}
+				if f.Kind == kind {
+					return
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %v DecodeInto a reused frame allocates %.1f objects per frame, want 0", kind, allocs)
+		}
 	}
 }

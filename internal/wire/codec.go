@@ -198,7 +198,7 @@ type Encoder struct {
 	// chosen encoding actually paid.
 	Overhead core.Overhead
 
-	// Stats counts every frame written, by kind, header bytes included.
+	// Stats counts every frame encoded, by kind, header bytes included.
 	Stats Stats
 }
 
@@ -209,9 +209,8 @@ func NewEncoder(w io.Writer, d int) *Encoder {
 
 // SetBatch switches the encoder between flush-per-frame (the default, every
 // Encode reaches the transport before returning) and batch mode, where
-// frames accumulate in the write buffer until Flush — the coalescing mode
-// internal/node's per-connection writer goroutine drives, trading one
-// transport write per frame for one per burst.
+// frames accumulate in the write buffer until Flush, trading one transport
+// write per frame for one per burst (internal/node's report streams use it).
 func (e *Encoder) SetBatch(batch bool) { e.batch = batch }
 
 // Flush forces every encoded frame onto the underlying stream. It is a
@@ -224,41 +223,53 @@ func (e *Encoder) Flush() error {
 }
 
 // Encode writes one frame; unless the encoder is in batch mode, the frame
-// is flushed to the underlying stream before Encode returns.
-//
-// The payload is built into the recycled buffer after a reserved header
-// gap, the length varint is placed right-aligned against the payload, and
-// header plus payload go out in one contiguous Write — a stack-local header
-// buffer handed to an io.Writer would escape and cost an allocation per
-// frame.
+// is flushed to the underlying stream before Encode returns. The frame is
+// built in a recycled buffer (see Append) and goes out, header and payload,
+// as one contiguous Write: a separate header slice handed to the io.Writer
+// would escape and cost an allocation per frame.
 func (e *Encoder) Encode(f *Frame) error {
-	const maxHdr = binary.MaxVarintLen64
-	if cap(e.buf) < maxHdr {
-		e.buf = make([]byte, maxHdr)
-	}
-	full, err := e.appendPayload(e.buf[:maxHdr], f)
+	full, err := e.Append(e.buf[:0], f)
 	if err != nil {
 		return err
 	}
 	e.buf = full[:0]
-	plen := len(full) - maxHdr
-	if plen > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", plen, MaxFrame)
-	}
-	var hdr [maxHdr]byte
-	n := binary.PutUvarint(hdr[:], uint64(plen))
-	start := maxHdr - n
-	copy(full[start:maxHdr], hdr[:n])
-	if _, err := e.w.Write(full[start:]); err != nil {
+	if _, err := e.w.Write(full); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	if !e.batch {
-		if err := e.Flush(); err != nil {
-			return err
-		}
+		return e.Flush()
 	}
-	e.Stats.add(f.Kind, n+plen)
 	return nil
+}
+
+// Append encodes one frame, length prefix included, onto dst and returns
+// the extended buffer; nothing reaches the underlying stream. The delta
+// baselines and the Overhead/Stats accounting advance exactly as for
+// Encode, so a caller that writes the appended bytes itself — internal/node
+// encodes each frame into its connection's pending buffer when the frame is
+// queued — produces the identical byte stream. On error dst is returned
+// unextended.
+//
+// The payload is built after a reserved MaxVarintLen64-byte gap, then the
+// length varint is written at the frame's start and the payload moved down
+// to meet it, so the frame is built in place in dst with no scratch
+// buffer: a warm SYN/ACK append allocates nothing once dst has grown.
+func (e *Encoder) Append(dst []byte, f *Frame) ([]byte, error) {
+	const maxHdr = binary.MaxVarintLen64
+	start := len(dst)
+	var gap [maxHdr]byte
+	full, err := e.appendPayload(append(dst, gap[:]...), f)
+	if err != nil {
+		return dst[:start], err
+	}
+	plen := len(full) - start - maxHdr
+	if plen > MaxFrame {
+		return dst[:start], fmt.Errorf("wire: frame of %d bytes exceeds limit %d", plen, MaxFrame)
+	}
+	n := binary.PutUvarint(full[start:], uint64(plen))
+	copy(full[start+n:], full[start+maxHdr:])
+	e.Stats.add(f.Kind, n+plen)
+	return full[:start+n+plen], nil
 }
 
 func (e *Encoder) appendPayload(dst []byte, f *Frame) ([]byte, error) {
@@ -524,28 +535,46 @@ func NewDecoder(r io.Reader, d int) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), d: d, last: make(map[pair]vector.V)}
 }
 
-// Decode reads the next frame. It returns io.EOF only at a clean frame
+// Decode reads the next frame into a fresh Frame, whose vector and other
+// slices the caller owns outright. It returns io.EOF only at a clean frame
 // boundary; a stream truncated mid-frame is an ErrUnexpectedEOF-wrapping
-// error.
+// error. The handshake, report and collector paths use it; the rendezvous
+// read loop uses DecodeInto.
 func (d *Decoder) Decode() (*Frame, error) {
+	f := &Frame{}
+	if err := d.DecodeInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto reads the next frame into f, overwriting every field. f.Vec's
+// backing array is reused when it can hold d components, so a warm SYN/ACK
+// decode into the same frame allocates nothing: the decoded vector is only
+// valid until the next DecodeInto on f, and a caller that keeps it must copy
+// it. Frames without a vector leave Vec empty, its array kept for the next
+// SYN/ACK. Errors are as for Decode; after one, f's contents are
+// unspecified.
+func (d *Decoder) DecodeInto(f *Frame) error {
 	size, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("wire: read header: %w", err)
+		return fmt.Errorf("wire: read header: %w", err)
 	}
 	if size == 0 || size > MaxFrame {
-		return nil, fmt.Errorf("wire: implausible frame size %d", size)
+		return fmt.Errorf("wire: implausible frame size %d", size)
 	}
 	if cap(d.buf) < int(size) {
 		d.buf = make([]byte, size)
 	}
 	payload := d.buf[:size]
 	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return nil, fmt.Errorf("wire: read payload: %w", err)
+		return fmt.Errorf("wire: read payload: %w", err)
 	}
-	return d.parse(payload)
+	*f = Frame{Vec: f.Vec[:0]}
+	return d.parse(payload, f)
 }
 
 // reader walks a payload with bounds checking.
@@ -607,67 +636,68 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *Decoder) parse(payload []byte) (*Frame, error) {
+// parse decodes one payload into f, which the caller has reset.
+func (d *Decoder) parse(payload []byte, f *Frame) error {
 	r := &reader{b: payload}
 	kb, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := &Frame{Kind: Kind(kb)}
+	f.Kind = Kind(kb)
 	switch f.Kind {
 	case KindHello:
 		if f.Role, err = r.byte(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Node, err = r.intField("node", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Digest, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Epoch, err = r.intField("epoch", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.intField("proc count", MaxProcs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Procs = make([]int, count)
 		for i := range f.Procs {
 			if f.Procs[i], err = r.intField("proc", 1<<31); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindSyn, KindAck:
 		if f.From, err = r.intField("from", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.To, err = r.intField("to", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Seq, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
-		if f.Vec, err = d.readVec(r, f.From, f.To); err != nil {
-			return nil, err
+		if err = d.readVec(r, f); err != nil {
+			return err
 		}
 		if r.off < len(r.b) {
 			// Version-tolerant decode: a trailing uvarint is the optional
 			// Safe field; its absence means zero.
 			if f.Safe, err = r.uvarint(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case KindInternal:
 		if f.Proc, err = r.intField("proc", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		n, err := r.intField("note length", MaxNote)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.off+n > len(r.b) {
-			return nil, fmt.Errorf("wire: note of %d bytes overruns frame", n)
+			return fmt.Errorf("wire: note of %d bytes overruns frame", n)
 		}
 		f.Note = string(r.b[r.off : r.off+n])
 		r.off += n
@@ -675,55 +705,55 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		// No payload.
 	case KindShard:
 		if f.Leaf, err = r.intField("leaf", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Leaves, err = r.intField("leaves", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.intField("proc count", MaxProcs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if count > 0 {
 			f.Procs = make([]int, count)
 			for i := range f.Procs {
 				if f.Procs[i], err = r.intField("proc", 1<<31); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	case KindSummary:
 		s := &ShardSummary{}
 		if s.Leaf, err = r.intField("leaf", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		for _, dst := range []*uint64{&s.Procs, &s.Sends, &s.Recvs, &s.Internals, &s.Segments, &s.Spilled} {
 			if *dst, err = r.uvarint(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if s.Err, err = r.str("summary error", MaxNote); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.intField("group count", MaxGroups)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if count > 0 {
 			s.Groups = make([]GroupSummary, count)
 			for i := range s.Groups {
 				g := &s.Groups[i]
 				if g.Group, err = r.intField("group", 1<<31); err != nil {
-					return nil, err
+					return err
 				}
 				for _, dst := range []*uint64{&g.SendCount, &g.SendXor, &g.RecvCount, &g.RecvXor} {
 					if *dst, err = r.uvarint(); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				seq, err := r.intField("root seq", 1<<62)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				g.RootSeq = int64(seq) - 1
 			}
@@ -733,26 +763,26 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 		v := &Verdict{}
 		ok, err := r.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.OK = ok != 0
 		if v.Shards, err = r.intField("shards", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Messages, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if v.Records, err = r.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.intField("problem count", MaxProblems)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < count; i++ {
 			p, err := r.str("problem", MaxNote)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v.Problems = append(v.Problems, p)
 		}
@@ -760,35 +790,35 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 	case KindMetrics:
 		m := &Metrics{}
 		if m.Node, err = r.intField("node", 1<<31); err != nil {
-			return nil, err
+			return err
 		}
 		if m.Counters, err = readMetricValues(r, "counter"); err != nil {
-			return nil, err
+			return err
 		}
 		if m.Gauges, err = readMetricValues(r, "gauge"); err != nil {
-			return nil, err
+			return err
 		}
 		count, err := r.intField("histogram count", MaxMetrics)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < count; i++ {
 			var h MetricHistogram
 			if h.Name, err = r.str("metric name", MaxNote); err != nil {
-				return nil, err
+				return err
 			}
 			if i > 0 && h.Name <= m.Histograms[i-1].Name {
-				return nil, fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
+				return fmt.Errorf("wire: histogram names not strictly sorted at %q", h.Name)
 			}
 			edges, err := r.intField("edge count", MaxEdges)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if edges > 0 {
 				h.Edges = make([]int64, edges)
 				for j := range h.Edges {
 					if h.Edges[j], err = r.varint(); err != nil {
-						return nil, err
+						return err
 					}
 				}
 			}
@@ -796,34 +826,34 @@ func (d *Decoder) parse(payload []byte) (*Frame, error) {
 			for j := range h.Counts {
 				c, err := r.uvarint()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if c > 1<<62 {
-					return nil, fmt.Errorf("wire: implausible bucket count %d", c)
+					return fmt.Errorf("wire: implausible bucket count %d", c)
 				}
 				h.Counts[j] = int64(c)
 			}
 			cnt, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if cnt > 1<<62 {
-				return nil, fmt.Errorf("wire: implausible histogram count %d", cnt)
+				return fmt.Errorf("wire: implausible histogram count %d", cnt)
 			}
 			h.Count = int64(cnt)
 			if h.Sum, err = r.varint(); err != nil {
-				return nil, err
+				return err
 			}
 			m.Histograms = append(m.Histograms, h)
 		}
 		f.Metrics = m
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", kb)
+		return fmt.Errorf("wire: unknown frame kind %d", kb)
 	}
 	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(r.b)-r.off, f.Kind)
+		return fmt.Errorf("wire: %d trailing bytes after %v frame", len(r.b)-r.off, f.Kind)
 	}
-	return f, nil
+	return nil
 }
 
 // readMetricValues decodes one sorted name/value list of a METRICS frame.
@@ -849,53 +879,59 @@ func readMetricValues(r *reader, what string) ([]MetricValue, error) {
 	return vals, nil
 }
 
-// readVec decodes a vector and advances the (from, to) baseline exactly as
-// the encoder did. The returned vector is a fresh allocation (internal/node
-// retains it past the next Decode); the baseline is a separate array
-// updated in place, so a warm SYN/ACK decode costs exactly the Frame and
-// the vector — bench_test.go pins it.
-func (d *Decoder) readVec(r *reader, from, to int) (vector.V, error) {
+// readVec decodes f's vector into f.Vec — reusing its backing array when
+// it has room for d components, allocating one otherwise — and advances the
+// (f.From, f.To) baseline exactly as the encoder did. The baseline is a
+// separate array updated in place, so a warm decode into a reused frame
+// allocates nothing (bench_test.go pins it). Decode hands each frame a
+// fresh Frame, so its vectors are fresh allocations the caller may keep.
+func (d *Decoder) readVec(r *reader, f *Frame) error {
 	mode, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	key := pair{from, to}
+	key := pair{f.From, f.To}
 	base, ok := d.last[key]
 	if !ok {
 		base = vector.New(d.d)
 		d.last[key] = base
 	}
-	v := vector.New(d.d)
+	v := f.Vec[:0]
+	if cap(v) < d.d {
+		v = vector.New(d.d)
+	}
+	v = v[:d.d]
+	f.Vec = v
 	switch mode {
 	case 0: // dense
 		for k := range v {
 			if v[k], err = r.intField("component", 1<<62); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case 1: // delta against the pair baseline
 		count, err := r.intField("delta count", uint64(d.d))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		copy(v, base)
 		for i := 0; i < count; i++ {
 			idx, err := r.intField("delta index", uint64(d.d))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			val, err := r.intField("delta value", 1<<62)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if idx >= len(v) {
-				return nil, fmt.Errorf("wire: delta index %d out of range [0,%d)", idx, len(v))
+				return fmt.Errorf("wire: delta index %d out of range [0,%d)", idx, len(v))
 			}
 			v[idx] = val
 		}
 	default:
-		return nil, fmt.Errorf("wire: unknown vector mode %d", mode)
+		return fmt.Errorf("wire: unknown vector mode %d", mode)
 	}
 	copy(base, v)
-	return v, nil
+	return nil
 }

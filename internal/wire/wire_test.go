@@ -64,6 +64,104 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// reuseFrames is a mixed stream for the reuse tests: vector frames on two
+// pairs (delta and dense), interleaved with frames that carry none and with
+// fields a reused frame must not leak into the next one.
+func reuseFrames() []*Frame {
+	return []*Frame{
+		{Kind: KindHello, Role: RoleData, Node: 2, Procs: []int{3, 4, 5}, Digest: 0xdeadbeefcafe, Epoch: 3},
+		{Kind: KindSyn, From: 3, To: 0, Seq: 1, Vec: vector.V{1, 0, 2}},
+		{Kind: KindAck, From: 0, To: 3, Seq: 1, Vec: vector.V{1, 1, 2}, Safe: 4},
+		{Kind: KindInternal, Proc: 4, Note: "checkpoint #7"},
+		{Kind: KindSyn, From: 3, To: 0, Seq: 2, Vec: vector.V{1, 1, 3}},
+		{Kind: KindSyn, From: 5, To: 0, Seq: 1, Vec: vector.V{900, 0, 70000}},
+		{Kind: KindBye},
+		{Kind: KindAck, From: 0, To: 3, Seq: 2, Vec: vector.V{1, 2, 3}},
+	}
+}
+
+// TestDecodeIntoMatchesDecode decodes one stream twice, once into fresh
+// frames and once into a single reused frame, and requires field-for-field
+// agreement: DecodeInto overwrites every field and keeps only the vector's
+// array, which frames without a vector leave empty.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	frames := reuseFrames()
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, 3)
+	for _, f := range frames {
+		if err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := NewDecoder(bytes.NewReader(buf.Bytes()), 3)
+	reused := NewDecoder(bytes.NewReader(buf.Bytes()), 3)
+	var f Frame
+	var arr *int
+	for i := range frames {
+		want, err := fresh.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.DecodeInto(&f); err != nil {
+			t.Fatal(err)
+		}
+		got := f
+		if want.Vec == nil {
+			if len(got.Vec) != 0 {
+				t.Fatalf("frame %d (%v): reused frame kept vector %v", i, want.Kind, got.Vec)
+			}
+			got.Vec = nil
+		} else {
+			if arr != nil && &got.Vec[0] != arr {
+				t.Fatalf("frame %d (%v): DecodeInto allocated a new vector array", i, want.Kind)
+			}
+			arr = &got.Vec[0]
+		}
+		if !reflect.DeepEqual(want, &got) {
+			t.Fatalf("frame %d: DecodeInto gave %+v, Decode %+v", i, &got, want)
+		}
+	}
+	if err := reused.DecodeInto(&f); err != io.EOF {
+		t.Fatalf("DecodeInto at end of stream: %v, want io.EOF", err)
+	}
+}
+
+// TestAppendMatchesEncode requires Append to produce exactly the bytes
+// Encode writes, with identical delta baselines and accounting, so a
+// runtime that encodes frames into its own buffer puts the same byte
+// stream on the wire. A frame that fails to encode leaves the buffer as
+// it was.
+func TestAppendMatchesEncode(t *testing.T) {
+	for _, self := range []bool{false, true} {
+		var want bytes.Buffer
+		enc := NewEncoder(&want, 3)
+		enc.SelfContained = self
+		app := NewEncoder(io.Discard, 3)
+		app.SelfContained = self
+		got := []byte("prefix")
+		for _, f := range reuseFrames() {
+			if err := enc.Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if got, err = app.Append(got, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+			t.Fatalf("selfContained=%v: Append bytes %x, Encode bytes %x", self, got[len("prefix"):], want.Bytes())
+		}
+		if app.Stats != enc.Stats || app.Overhead != enc.Overhead {
+			t.Fatalf("selfContained=%v: Append accounting %+v/%+v, Encode %+v/%+v", self, app.Stats, app.Overhead, enc.Stats, enc.Overhead)
+		}
+		n := len(got)
+		bad := &Frame{Kind: KindSyn, From: 3, To: 0, Seq: 9, Vec: vector.V{1}}
+		if got, err := app.Append(got, bad); err == nil || len(got) != n {
+			t.Fatalf("selfContained=%v: bad frame gave err %v and %d bytes, want an error and %d", self, err, len(got), n)
+		}
+	}
+}
+
 // TestDeltaBeatsDenseOnRepeatTraffic drives repeated same-pair exchanges —
 // the differential codec's favorable regime — and requires actual wire
 // bytes strictly below the dense cost, while round-tripping exactly.
