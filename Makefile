@@ -103,16 +103,23 @@ load-test:
 	dir=$$(mktemp -d) && $(GO) run ./cmd/tsload -servers 8 -clients 5000 -msgs 2 \
 		-zipf 0.9 -leaves 4 -spill-dir $$dir -segment 512 -control && rm -rf $$dir
 
-# Throughput gate: cmd/tsbench runs every scenario (loop, tcp, journal,
-# load, async) with a fixed seed, writes BENCH_<name>.json, and fails if any
-# report is malformed or either arm recorded zero throughput. Committed
-# BENCH files at the repo root are refreshed by running this and checking in
-# the result.
+# Benchmark gate: every workload of BENCHMARK.json through perfbench on a
+# 2 s budget. run.sh exits non-zero when any trial's stamps differ from the
+# sequential oracle ("correct": false); the gate re-checks "correct" on
+# the result line and also fails when its msgs_per_sec is not positive. Timings are reported, not gated:
+# a comparison needs interleaved runs on one host (perfbench/README.md).
 bench:
-	$(GO) run ./cmd/tsbench -seed 42 -out .
+	@for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		echo "== $$w"; \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2) || exit 1; \
+		echo "$$out" | grep -v '^{'; \
+		echo "$$out" | tail -n 1 | jq -e '.correct and .metrics.msgs_per_sec.value > 0' >/dev/null \
+			|| { echo "bench: $$w reported an incorrect run or no throughput" >&2; exit 1; }; \
+	done
 
 # Every Benchmark* in the module with allocation counts, the fault
-# injector's batched egress path (BenchmarkFaultConnWrite) included.
+# injector's batched egress path (BenchmarkFaultConnWrite) and the fixed
+# versus adaptive retransmission comparison (BenchmarkRetransmit) included.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

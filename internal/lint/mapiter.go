@@ -16,8 +16,8 @@ import (
 // rule, as is internal/obs, whose JSONL and Chrome exports are contractually
 // byte-identical across runs, and internal/fault, whose whole contract is
 // byte-identical fault schedules under a fixed seed. internal/load promises
-// identical logs for identical seeds at workers=1 (tsbench's load arms rely
-// on it), so it is held to the same rule.
+// identical logs for identical seeds at workers=1 (TestLoadDeterministic
+// pins it), so it is held to the same rule.
 var deterministicPaths = []string{
 	"syncstamp/internal/core",
 	"syncstamp/internal/decomp",

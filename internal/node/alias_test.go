@@ -79,11 +79,11 @@ func aliasRun(t *testing.T, rounds int, cfg Config, transports []Transport) (got
 // has handed out. The remote path decodes into reused frames, copies SYN
 // vectors into per-sender receive slots, builds SYNs from a reused buffer
 // and adopts in place, so a stamp that aliased any of those would change
-// after Send or RecvFrom returned it. Every returned stamp and
-// every RunInfo.Logs record must still equal the copy taken at return
-// time — fail-stop, flush-per-frame, and async at 5% loss with a link
-// reset, where retransmissions, dedup re-ACKs from the merge cache and a
-// session resume all run.
+// after Send or RecvFrom returned it. Every returned stamp and every
+// RunInfo.Logs record must still equal the copy taken at return time —
+// fail-stop, and async at 5% loss with a link reset, where
+// retransmissions, dedup re-ACKs from the merge cache and a session resume
+// all run.
 func TestStampAliasSafety(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -92,7 +92,6 @@ func TestStampAliasSafety(t *testing.T) {
 		lossy      bool
 	}{
 		{"failstop", Config{}, func() []Transport { return loopTransports(2) }, false},
-		{"nocoalesce", Config{NoCoalesce: true}, func() []Transport { return loopTransports(2) }, false},
 		{"async-loss5", Config{
 			RendezvousTimeout: 20 * time.Second,
 			Recovery: &RecoveryConfig{

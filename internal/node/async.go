@@ -112,14 +112,14 @@ func (n *Node) noteAlive(peer int, f *wire.Frame) {
 }
 
 // noteTimeout is the synchronizer's timeout hook, called by a parked sender
-// each time a retransmission interval expires unanswered. A transition into
-// suspect arms the degradation policy.
-func (n *Node) noteTimeout(peer int) {
+// each time a retransmission interval expires unanswered, with its
+// exchange's streak. A transition into suspect arms the degradation policy.
+func (n *Node) noteTimeout(peer int, s *tssync.Streak) {
 	p := n.coord.Peer(peer)
 	if p == nil {
 		return
 	}
-	st, changed := p.OnTimeout()
+	st, changed := p.OnTimeout(s)
 	if !changed {
 		return
 	}
@@ -137,7 +137,7 @@ func (n *Node) noteSuspect(peer int) {
 	n.suspicions.Add(1)
 	n.ins.Suspicions.Add(1)
 	if n.rec.OnPeerLoss == PeerLossAbort {
-		n.fail(fmt.Errorf("node %d: node %d suspect after consecutive timeouts", n.cfg.Node, peer))
+		n.fail(fmt.Errorf("node %d: node %d suspect after repeated unanswered retransmissions", n.cfg.Node, peer))
 		return
 	}
 	n.mu.Lock()
@@ -209,8 +209,16 @@ func (n *Node) asyncInfo(info *RunInfo) {
 		if p == nil {
 			continue
 		}
-		es := p.Estimator().Stats()
 		hs := p.Monitor().Stats()
+		info.PeerHealth[j] = hs.State.String()
+		n.setHealthGauge(j, hs.State)
+		es := p.Estimator().Stats()
+		if es.Samples == 0 {
+			// Never measured — this node sent the peer nothing, or every
+			// exchange was retransmitted (Karn). The estimator still holds
+			// its initial guess, which is not an RTT of this link.
+			continue
+		}
 		st := RTTStats{
 			SRTTNS:     es.SRTT.Nanoseconds(),
 			RTONS:      es.RTO.Nanoseconds(),
@@ -224,7 +232,5 @@ func (n *Node) asyncInfo(info *RunInfo) {
 			st.P99NS = hsnap.Quantile(0.99)
 		}
 		info.PeerRTT[j] = st
-		info.PeerHealth[j] = hs.State.String()
-		n.setHealthGauge(j, hs.State)
 	}
 }

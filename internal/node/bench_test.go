@@ -62,15 +62,9 @@ func runPair(tb testing.TB, cfg Config, transports []Transport, programs map[int
 	return infos
 }
 
-// runBenchCluster drives one 2-node Loop run and reports errors on b.
-func runBenchCluster(b *testing.B, dec *decomp.Decomposition, placement []int,
-	programs map[int]func(*Process) error, coalesce bool) {
-	b.Helper()
-	runPair(b, Config{Placement: placement, Dec: dec, NoCoalesce: !coalesce}, loopTransports(2), programs)
-}
-
-// benchPrograms is the tsbench workload shape: every pair ping-pongs rounds
-// times concurrently over the single inter-node connection.
+// benchPrograms is the closed-loop pairs workload (perfbench's pairs-tcp
+// shape): every pair ping-pongs rounds times concurrently over the single
+// inter-node connection.
 func benchPrograms(pairs, rounds int) map[int]func(*Process) error {
 	programs := make(map[int]func(*Process) error, 2*pairs)
 	for i := 0; i < pairs; i++ {
@@ -97,39 +91,27 @@ func benchPrograms(pairs, rounds int) map[int]func(*Process) error {
 
 // BenchmarkLoopRendezvous measures the full remote rendezvous round trip —
 // SYN encode, pipe, merge, ACK, adopt — over the in-memory Loop transport
-// with the coalescing writer on; ns/op is per message.
+// through the coalescing writer; ns/op is per message.
 func BenchmarkLoopRendezvous(b *testing.B) {
 	const pairs = 8
 	dec, placement := benchMatching(pairs)
 	rounds := b.N/pairs + 1
 	b.ReportAllocs()
 	b.ResetTimer()
-	runBenchCluster(b, dec, placement, benchPrograms(pairs, rounds), true)
+	runPair(b, Config{Placement: placement, Dec: dec}, loopTransports(2), benchPrograms(pairs, rounds))
 	b.StopTimer()
 }
 
-// BenchmarkLoopRendezvousNoCoalesce is the flush-per-frame baseline arm.
-func BenchmarkLoopRendezvousNoCoalesce(b *testing.B) {
-	const pairs = 8
-	dec, placement := benchMatching(pairs)
-	rounds := b.N/pairs + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	runBenchCluster(b, dec, placement, benchPrograms(pairs, rounds), false)
-	b.StopTimer()
-}
-
-// benchJournalAppend drives b.N appends through a journal from workers
-// concurrent goroutines; ns/op is per committed record.
-func benchJournalAppend(b *testing.B, each bool, workers int) {
-	b.Helper()
+// BenchmarkJournalAppendGroupCommit drives b.N appends through a journal
+// from 8 concurrent goroutines; ns/op is per committed record.
+func BenchmarkJournalAppendGroupCommit(b *testing.B) {
+	const workers = 8
 	path := filepath.Join(b.TempDir(), "bench.journal")
 	j, _, err := OpenJournal(path)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	j.SetSyncEach(each)
 	rec := JournalRecord{Kind: journalInternal, Proc: 1, Note: "bench"}
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -157,10 +139,6 @@ func benchJournalAppend(b *testing.B, each bool, workers int) {
 		b.Fatal(err)
 	}
 }
-
-func BenchmarkJournalAppendGroupCommit(b *testing.B) { benchJournalAppend(b, false, 8) }
-
-func BenchmarkJournalAppendSyncEach(b *testing.B) { benchJournalAppend(b, true, 8) }
 
 // BenchmarkJournalAppendBatch measures the collector's spill commit: one
 // AppendBatch of a 4096-record segment with 16-component stamps — encode,

@@ -188,12 +188,13 @@ func identicalLogs(a, b [][]csp.Record) error {
 	return nil
 }
 
-// TestCoalescingDeterminism runs each topology family twice — once with
-// the coalescing writer (the default) and once flushing every frame — and
-// requires byte-identical rendezvous logs plus agreement with the
-// sequential replay oracle. Batching frames into fewer TCP writes must be
-// invisible to the protocol: it may change *when* bytes move, never which
-// stamps are agreed.
+// TestCoalescingDeterminism runs each topology family twice through the
+// coalescing writer — once over the in-memory Loop and once over real
+// localhost TCP, whose scheduling and socket buffering cut the batches at
+// different frames — and requires byte-identical rendezvous logs plus
+// agreement with the sequential replay oracle. How frames are batched into
+// transport writes must be invisible to the protocol: it may change *when*
+// bytes move, never which stamps are agreed.
 func TestCoalescingDeterminism(t *testing.T) {
 	const rounds = 25
 	for _, fam := range coalesceFamilies() {
@@ -206,27 +207,27 @@ func TestCoalescingDeterminism(t *testing.T) {
 					nodes = n + 1
 				}
 			}
-			run := func(noCoalesce bool) (*csp.Result, [][]csp.Record) {
-				res, results, err := runCluster(dec, fam.placement, loopTransports(nodes),
-					fam.programs(rounds), Config{NoCoalesce: noCoalesce})
+			run := func(name string, transports []Transport) (*csp.Result, [][]csp.Record) {
+				res, results, err := runCluster(dec, fam.placement, transports,
+					fam.programs(rounds), Config{})
 				if err != nil {
-					t.Fatalf("noCoalesce=%v: %v", noCoalesce, err)
+					t.Fatalf("%s: %v", name, err)
 				}
 				for i, r := range results {
 					if r.err != nil {
-						t.Fatalf("noCoalesce=%v node %d: %v", noCoalesce, i, r.err)
+						t.Fatalf("%s node %d: %v", name, i, r.err)
 					}
 				}
 				return res, collectLogs(results, fam.g.N())
 			}
-			coalesced, coalescedLogs := run(false)
-			plain, plainLogs := run(true)
+			loop, loopLogs := run("loop", loopTransports(nodes))
+			tcp, tcpLogs := run("tcp", tcpTransports(t, nodes))
 
 			want := rounds * fam.perRound
-			verifyAgainstSequential(t, coalesced, dec, want)
-			verifyAgainstSequential(t, plain, dec, want)
-			if err := identicalLogs(coalescedLogs, plainLogs); err != nil {
-				t.Fatalf("coalesced and unbatched runs diverged: %v", err)
+			verifyAgainstSequential(t, loop, dec, want)
+			verifyAgainstSequential(t, tcp, dec, want)
+			if err := identicalLogs(loopLogs, tcpLogs); err != nil {
+				t.Fatalf("loop and tcp runs diverged: %v", err)
 			}
 		})
 	}

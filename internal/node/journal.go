@@ -49,19 +49,16 @@ type JournalRecord struct {
 // Journal is an append-only JSONL file of committed operations, safe for
 // concurrent use by a node's process goroutines.
 //
-// Commits are group-committed by default: concurrent Appends pool their
-// records and a single leader writes and fsyncs the whole batch, so one
-// fsync covers every rendezvous that reached the journal while the previous
-// fsync was in flight. The durability contract is unchanged — Append
-// returns only after the fsync covering its record has completed — which is
-// what preserves the write-ahead invariant (a merge's journal entry is
-// durable before its ACK leaves the node). SetSyncEach(true) restores
-// fsync-per-record commits, the baseline arm of cmd/tsbench.
+// Commits are group-committed: concurrent Appends pool their records and a
+// single leader writes and fsyncs the whole batch, so one fsync covers
+// every rendezvous that reached the journal while the previous fsync was in
+// flight. Append returns only after the fsync covering its record has
+// completed, which is what preserves the write-ahead invariant (a merge's
+// journal entry is durable before its ACK leaves the node).
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	restarts int
-	each     bool // fsync per record instead of per batch
 
 	// Group-commit state, guarded by mu. Records queue as complete
 	// newline-terminated JSONL lines in buf; a crash mid-batch therefore
@@ -96,11 +93,6 @@ type JournalStats struct {
 	Appends int64 `json:"appends"`
 	Syncs   int64 `json:"syncs"`
 }
-
-// SetSyncEach switches the journal to fsync-per-record commits (true) or
-// back to group commit (false, the default). Call before the run starts;
-// it is not synchronized against in-flight Appends.
-func (j *Journal) SetSyncEach(each bool) { j.each = each }
 
 // Stats snapshots the journal's commit accounting.
 func (j *Journal) Stats() JournalStats {
@@ -179,8 +171,8 @@ func replayJournal(f *os.File) (recs []JournalRecord, restarts int, good int64, 
 }
 
 // Append commits one record. The record is durable when Append returns:
-// either this goroutine wrote and fsynced it (fsync-per-record mode, or as
-// the batch leader), or it waited for the leader whose batch carried it.
+// either this goroutine wrote and fsynced it as the batch leader, or it
+// waited for the leader whose batch carried it.
 func (j *Journal) Append(rec JournalRecord) error {
 	one := [1]JournalRecord{rec}
 	_, err := j.commit(one[:])
@@ -201,9 +193,8 @@ func (j *Journal) AppendBatch(recs []JournalRecord) (int, error) {
 
 // commit makes recs durable as one run of complete JSONL lines and returns
 // the bytes they encode to. The lines are encoded under mu straight into
-// the buffer that gets written — the group-commit batch, or the recycled
-// spare in fsync-per-record mode — so a record is encoded once and copied
-// never.
+// the group-commit batch that gets written, so a record is encoded once
+// and copied never.
 func (j *Journal) commit(recs []JournalRecord) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -211,22 +202,6 @@ func (j *Journal) commit(recs []JournalRecord) (int, error) {
 		return 0, j.err
 	}
 	j.appends += int64(len(recs))
-	if j.each {
-		b := j.spare[:0]
-		for i := range recs {
-			b = appendRecordLine(b, &recs[i])
-		}
-		j.spare = b
-		j.syncs++
-		if _, err := j.f.Write(b); err != nil {
-			return len(b), fmt.Errorf("node: journal append: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return len(b), fmt.Errorf("node: journal sync: %w", err)
-		}
-		return len(b), nil
-	}
-
 	n := len(j.buf)
 	for i := range recs {
 		j.buf = appendRecordLine(j.buf, &recs[i])

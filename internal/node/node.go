@@ -97,14 +97,6 @@ type Config struct {
 	// dump. Empty keeps the ring in memory only (still served over
 	// /debug/flight).
 	FlightDump string
-	// NoCoalesce disables frame coalescing on data connections: every frame
-	// is handed to the transport individually, one write per frame, as the
-	// pre-batching runtime did. It is the baseline arm of cmd/tsbench and a
-	// debugging aid; the default (false) lets concurrent senders share
-	// transport writes: senders encode their frames into the connection's
-	// pending buffer, and its writer goroutine writes everything pending at
-	// once.
-	NoCoalesce bool
 	// Recovery, when non-nil, enables the loss-tolerant protocol:
 	// retransmission, dedup, reconnection, degradation policy, and
 	// (optionally) crash-recovery journaling. Nil keeps the original
@@ -164,8 +156,7 @@ type peerConn struct {
 }
 
 // flushMark ends a transport write at offset end of the pending bytes: the
-// end of a BYE frame, whose sender waits on done for that write's outcome,
-// or of every frame under NoCoalesce (done nil).
+// end of a BYE frame, whose sender waits on done for that write's outcome.
 type flushMark struct {
 	end  int
 	done chan error
@@ -214,7 +205,7 @@ func (pc *peerConn) enqueue(f *wire.Frame, flushed chan error) error {
 	if err := pc.encode(f); err != nil {
 		return err // nothing was queued; the stream is intact
 	}
-	if flushed != nil || pc.n.cfg.NoCoalesce {
+	if flushed != nil {
 		pc.marks = append(pc.marks, flushMark{end: len(pc.pend), done: flushed})
 	}
 	if idle {
@@ -292,9 +283,7 @@ func (pc *peerConn) writeLoop() {
 	defer pc.n.writersWG.Done()
 	defer close(pc.done)
 	for range pc.wake {
-		if !pc.n.cfg.NoCoalesce {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 		pc.writePending()
 	}
 	pc.writePending()
@@ -318,9 +307,7 @@ func (pc *peerConn) writePending() {
 			_, err = pc.c.Write(buf[start:m.end])
 		}
 		start = m.end
-		if m.done != nil {
-			m.done <- err // buffered; the waiter is parked on it
-		}
+		m.done <- err // buffered; the waiter is parked on it
 	}
 	if err == nil && start < len(buf) {
 		_, err = pc.c.Write(buf[start:])
@@ -1059,7 +1046,9 @@ type RunInfo struct {
 	Suspicions int64
 	// PeerRTT and PeerHealth are async mode's per-peer synchronizer view,
 	// keyed by peer node id: the RTT estimator and histogram quantiles, and
-	// the health FSM's final state name. Nil outside async mode.
+	// the health FSM's final state name. PeerHealth lists every peer;
+	// PeerRTT only those whose estimator took at least one sample. Nil
+	// outside async mode.
 	PeerRTT    map[int]RTTStats
 	PeerHealth map[int]string
 }

@@ -94,6 +94,28 @@ func loopTransports(nodes int) []Transport {
 	return ts
 }
 
+// tcpTransports binds one localhost TCP transport per node and tells each
+// the others' addresses.
+func tcpTransports(t *testing.T, nodes int) []Transport {
+	t.Helper()
+	tcp := make([]*TCPTransport, nodes)
+	addrs := make([]string, nodes)
+	for i := range tcp {
+		tr, err := NewTCPTransport("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcp[i] = tr
+		addrs[i] = tr.Addr()
+	}
+	ts := make([]Transport, nodes)
+	for i, tr := range tcp {
+		tr.SetPeers(addrs)
+		ts[i] = tr
+	}
+	return ts
+}
+
 // pingPong is a 2-process program set: 0 sends to 1, 1 replies, repeated.
 func pingPong(rounds int) map[int]func(*Process) error {
 	return map[int]func(*Process) error{
@@ -223,22 +245,7 @@ func TestTCPPingPong(t *testing.T) {
 	leakCheck(t)
 	g := graph.Path(2)
 	dec := decomp.Best(g)
-	tcp := make([]*TCPTransport, 2)
-	addrs := make([]string, 2)
-	for i := range tcp {
-		tr, err := NewTCPTransport("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcp[i] = tr
-		addrs[i] = tr.Addr()
-	}
-	transports := make([]Transport, len(tcp))
-	for i, tr := range tcp {
-		tr.SetPeers(addrs)
-		transports[i] = tr
-	}
-	res, results, err := runCluster(dec, []int{0, 1}, transports, pingPong(25), Config{})
+	res, results, err := runCluster(dec, []int{0, 1}, tcpTransports(t, 2), pingPong(25), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,6 +169,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 	var backoff time.Duration
 	var peer *tssync.Peer
 	var attempts int
+	var streak tssync.Streak
 	var sendWall, lastWall time.Time
 	if remote && n.rec != nil {
 		if n.asyncOn() {
@@ -273,7 +274,7 @@ func (p *Process) Send(q int) (vector.V, error) {
 			if peer != nil {
 				attempts++
 				lastWall = time.Now()
-				n.noteTimeout(target)
+				n.noteTimeout(target, &streak)
 				backoff = peer.RetryIn(attempts)
 				n.ins.BackoffNS.Observe(int64(backoff))
 			} else {

@@ -272,6 +272,62 @@ func TestAsyncClusterRollup(t *testing.T) {
 	}
 }
 
+// TestAsyncPeerRTTOmitsUnsampledPeers pins that RunInfo.PeerRTT reports
+// only estimators that measured something. In a one-directional run node 0
+// sends and node 1 only receives, so node 1's estimator for node 0 never
+// takes a sample and still holds the initial guess: it must be absent from
+// node 1's PeerRTT (PeerHealth still lists the peer), while node 0's entry
+// carries the samples its sends produced.
+func TestAsyncPeerRTTOmitsUnsampledPeers(t *testing.T) {
+	leakCheck(t)
+	const rounds = 20
+	cfg := Config{
+		Placement: []int{0, 1},
+		Dec:       decomp.Best(graph.Path(2)),
+		Recovery: &RecoveryConfig{
+			OnPeerLoss:      PeerLossWait,
+			RetransmitMin:   2 * time.Millisecond,
+			RetransmitMax:   20 * time.Millisecond,
+			ReconnectWindow: 5 * time.Second,
+			Async:           &tssync.Config{Seed: 7},
+		},
+	}
+	programs := map[int]func(*Process) error{
+		0: func(p *Process) error {
+			for k := 0; k < rounds; k++ {
+				if _, err := p.Send(1); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		1: func(p *Process) error {
+			for k := 0; k < rounds; k++ {
+				if _, err := p.RecvFrom(0); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	infos := runPair(t, cfg, loopTransports(2), programs)
+	sender, receiver := infos[0], infos[1]
+	if st, ok := sender.PeerRTT[1]; !ok || st.Samples == 0 {
+		t.Fatalf("sender's PeerRTT[1] = %+v (present=%v), want an entry with samples", st, ok)
+	}
+	if st, ok := receiver.PeerRTT[0]; ok {
+		t.Fatalf("receiver reports an RTT estimate it never measured: %+v", st)
+	}
+	if len(receiver.PeerRTT) != 0 {
+		t.Fatalf("receiver's PeerRTT = %+v, want empty", receiver.PeerRTT)
+	}
+	for i, info := range infos {
+		if got := info.PeerHealth[1-i]; got != "healthy" {
+			t.Errorf("node %d PeerHealth[%d] = %q, want healthy", i, 1-i, got)
+		}
+	}
+}
+
 // TestFlightDumpRoundTrip pins the dump file format: write, read, equal —
 // node ids, notes, and seqs included.
 func TestFlightDumpRoundTrip(t *testing.T) {

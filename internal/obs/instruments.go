@@ -63,7 +63,7 @@ const (
 	MetricJournalAppends = "journal_appends_total"
 	// MetricJournalSyncs gauges the fsync batches that made those records
 	// durable. Syncs well below appends is group commit at work; equal
-	// counts mean fsync-per-record (the -journal-sync=each baseline).
+	// counts mean every batch held one record (an uncontended journal).
 	MetricJournalSyncs = "journal_syncs_total"
 	// MetricSegmentsSpilled gauges the verified segments a sharded
 	// collector tree spilled to disk over a run (CollectTree only).

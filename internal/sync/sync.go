@@ -28,7 +28,8 @@
 //     randomness — two runs with the same seed jitter identically.
 //
 //   - Monitor: the per-peer health FSM healthy → degraded → suspect →
-//     excluded, driven by consecutive timeouts and healed by any liveness
+//     excluded, driven by one exchange's run of unanswered retransmission
+//     intervals with the peer silent, and healed by any liveness
 //     evidence. Degradation policies (node.OnPeerLoss) act on suspicion,
 //     not on hard connection loss: a peer can be excluded while its TCP
 //     connection is still nominally alive.
@@ -49,9 +50,10 @@ const (
 	DefaultRTTInit = 50 * time.Millisecond
 	DefaultRTOMin  = 2 * time.Millisecond
 	DefaultRTOMax  = 2 * time.Second
-	// DefaultDegradeAfter and DefaultSuspectAfter are the consecutive-timeout
-	// thresholds of the health FSM: two unanswered retransmission intervals
-	// mark a peer degraded, five mark it suspect.
+	// DefaultDegradeAfter and DefaultSuspectAfter are the per-exchange
+	// timeout thresholds of the health FSM: one exchange with two unanswered
+	// retransmission intervals in a row, the peer silent throughout, marks
+	// its peer degraded; one with five marks it suspect.
 	DefaultDegradeAfter = 2
 	DefaultSuspectAfter = 5
 )
@@ -70,7 +72,7 @@ type Config struct {
 	// own stream from (Seed, peer), so jitter is independent per link and
 	// replayable per run.
 	Seed int64
-	// DegradeAfter and SuspectAfter are the consecutive-timeout thresholds
+	// DegradeAfter and SuspectAfter are the per-exchange timeout thresholds
 	// of the health FSM. Zero means the defaults.
 	DegradeAfter int
 	SuspectAfter int
@@ -188,10 +190,11 @@ func (p *Peer) OnAck(sinceFirst, sinceLast time.Duration, retransmits int) (samp
 	return false, false
 }
 
-// OnTimeout records one expired retransmission interval with no ACK and
-// advances the health FSM. It returns the (possibly new) state and whether
-// this timeout changed it.
-func (p *Peer) OnTimeout() (State, bool) { return p.mon.Timeout() }
+// OnTimeout records that the exchange owning s saw a retransmission
+// interval expire with no ACK and advances the health FSM (see
+// Monitor.Timeout). It returns the (possibly new) state and whether this
+// timeout changed it.
+func (p *Peer) OnTimeout(s *Streak) (State, bool) { return p.mon.Timeout(s) }
 
 // OnEvidence records liveness evidence — any frame received from the peer,
 // or its safe counter advancing — and heals the FSM (suspect or degraded →

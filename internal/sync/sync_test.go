@@ -140,36 +140,38 @@ func TestBackoffDelayRangeAndCap(t *testing.T) {
 }
 
 // TestMonitorEveryTransition walks the FSM through all its edges:
-// healthy → degraded → suspect on consecutive timeouts, suspect → healthy
-// on late evidence (the late-ACK recovery), degraded → healthy likewise,
-// and excluded as a terminal state that neither timeouts nor evidence move.
+// healthy → degraded → suspect as one exchange's timeouts mount, suspect →
+// healthy on late evidence (the late-ACK recovery), degraded → healthy
+// likewise, and excluded as a terminal state that neither timeouts nor
+// evidence move.
 func TestMonitorEveryTransition(t *testing.T) {
 	m := NewMonitor(2, 4)
 	if m.State() != Healthy {
 		t.Fatalf("initial state %v, want healthy", m.State())
 	}
-	if st, changed := m.Timeout(); st != Healthy || changed {
+	var x Streak
+	if st, changed := m.Timeout(&x); st != Healthy || changed {
 		t.Fatalf("timeout 1: (%v, %v), want (healthy, false)", st, changed)
 	}
-	if st, changed := m.Timeout(); st != Degraded || !changed {
+	if st, changed := m.Timeout(&x); st != Degraded || !changed {
 		t.Fatalf("timeout 2: (%v, %v), want (degraded, true)", st, changed)
 	}
-	if st, changed := m.Timeout(); st != Degraded || changed {
+	if st, changed := m.Timeout(&x); st != Degraded || changed {
 		t.Fatalf("timeout 3: (%v, %v), want (degraded, false)", st, changed)
 	}
-	if st, changed := m.Timeout(); st != Suspect || !changed {
+	if st, changed := m.Timeout(&x); st != Suspect || !changed {
 		t.Fatalf("timeout 4: (%v, %v), want (suspect, true)", st, changed)
 	}
-	// Late ACK: suspect heals to healthy and the counter resets — the next
-	// timeout starts a fresh streak.
+	// Late ACK: suspect heals to healthy, and the same exchange's streak
+	// starts over.
 	if st, changed := m.Evidence(); st != Healthy || !changed {
 		t.Fatalf("evidence on suspect: (%v, %v), want (healthy, true)", st, changed)
 	}
-	if st, changed := m.Timeout(); st != Healthy || changed {
+	if st, changed := m.Timeout(&x); st != Healthy || changed {
 		t.Fatalf("timeout after recovery: (%v, %v), want (healthy, false) — streak must reset", st, changed)
 	}
 	// Degraded → healthy.
-	m.Timeout()
+	m.Timeout(&x)
 	if m.State() != Degraded {
 		t.Fatalf("state %v, want degraded", m.State())
 	}
@@ -182,7 +184,7 @@ func TestMonitorEveryTransition(t *testing.T) {
 	}
 	// Excluded is terminal.
 	m.Exclude()
-	if st, changed := m.Timeout(); st != Excluded || changed {
+	if st, changed := m.Timeout(&x); st != Excluded || changed {
 		t.Fatalf("timeout on excluded: (%v, %v), want (excluded, false)", st, changed)
 	}
 	if st, changed := m.Evidence(); st != Excluded || changed {
@@ -191,6 +193,33 @@ func TestMonitorEveryTransition(t *testing.T) {
 	s := m.Stats()
 	if s.Suspicions != 1 || s.Recoveries != 2 {
 		t.Errorf("suspicions=%d recoveries=%d, want 1 and 2", s.Suspicions, s.Recoveries)
+	}
+}
+
+// TestMonitorKeysTimeoutsToOneExchange pins that suspicion needs one
+// exchange to go SuspectAfter intervals unanswered with the peer silent:
+// two exchanges to the same peer, interleaved and each stopping one short,
+// add up to more timeouts than the threshold but only degrade the peer. A
+// lossy link carrying many concurrent senders looks exactly like this.
+func TestMonitorKeysTimeoutsToOneExchange(t *testing.T) {
+	m := NewMonitor(DefaultDegradeAfter, DefaultSuspectAfter)
+	var a, b Streak
+	for i := 1; i < DefaultSuspectAfter; i++ {
+		for _, x := range []*Streak{&a, &b} {
+			if st, _ := m.Timeout(x); st == Suspect {
+				t.Fatalf("round %d: peer suspect with no exchange at %d timeouts", i, DefaultSuspectAfter)
+			}
+		}
+	}
+	if st := m.State(); st != Degraded {
+		t.Fatalf("state %v, want degraded", st)
+	}
+	if s := m.Stats(); s.Suspicions != 0 {
+		t.Fatalf("suspicions=%d, want 0", s.Suspicions)
+	}
+	// Either exchange's next timeout reaches the threshold on its own.
+	if st, changed := m.Timeout(&a); st != Suspect || !changed {
+		t.Fatalf("timeout %d of one exchange: (%v, %v), want (suspect, true)", DefaultSuspectAfter, st, changed)
 	}
 }
 
